@@ -4,10 +4,10 @@
 // except where noted):
 //
 // 1. Hot loop: a combined event-kernel churn — pop/schedule on the pending
-//    set plus a policy-driven pull extraction every 4th slot — run once on
-//    the seed structures (binary-heap EventQueue + O(n) scan PullQueue) and
-//    once on the fast ones (calendar queue + indexed γ-priority). Both runs
-//    fold every popped (time, id) and extracted item into a checksum, which
+//    set plus a policy-driven pull extraction every 4th slot — run once
+//    with the seed O(n) scan PullQueue and once with the indexed
+//    γ-priority one, both over the binary-heap EventQueue. Both runs fold
+//    every popped (time, id) and extracted item into a checksum, which
 //    must match exactly: the speedup only counts because the observable
 //    behavior is identical. Gate: >= 2x events/sec.
 // 2. Trace overhead: one fixed hybrid simulation with observability off vs
@@ -18,8 +18,8 @@
 //    drift over the bench's runtime exceeds the true overhead and a
 //    min-of-each-arm comparison bakes that drift into the ratio.
 //    Gate: < 20% overhead.
-// 3. The per-structure components (event queue alone, pull queue alone),
-//    recorded as telemetry so regressions can be localized.
+// 3. The pull queue alone (scan vs indexed), recorded as telemetry so
+//    regressions can be localized.
 //
 //   throughput [--rounds R] [--ops N] [--out FILE]
 //
@@ -78,12 +78,11 @@ struct LoopResult {
 // The combined kernel churn: `ops` slots of pop + reschedule against a
 // 2048-event pending set, with a pull extraction + re-add against a
 // 768-item queue every 4th slot.
-LoopResult hot_loop(des::EventQueueKind kind, core::PullQueue::SelectMode mode,
-                    std::size_t ops) {
+LoopResult hot_loop(core::PullQueue::SelectMode mode, std::size_t ops) {
   constexpr std::size_t kPendingEvents = 2048;
   constexpr std::size_t kPullItems = 768;
 
-  des::EventQueue queue(kind);
+  des::EventQueue queue;
   core::PullQueue pull(mode);
   const auto policy = sched::make_pull_policy(sched::PullPolicyKind::kImportance,
                                               0.5);
@@ -125,28 +124,6 @@ LoopResult hot_loop(des::EventQueueKind kind, core::PullQueue::SelectMode mode,
         pull.add(r, 1.0 + rng.uniform01(), entry->length, entry->popularity);
       }
     }
-  }
-  out.ms = watch.elapsed_ms();
-  return out;
-}
-
-// Event-queue-only churn (telemetry): pop + reschedule.
-LoopResult event_churn(des::EventQueueKind kind, std::size_t ops) {
-  constexpr std::size_t kPending = 4096;
-  des::EventQueue queue(kind);
-  Lcg rng;
-  des::EventId next_id = 0;
-  for (std::size_t i = 0; i < kPending; ++i) {
-    queue.push(des::Event{rng.uniform01() * 10.0, next_id++, [] {}});
-  }
-  LoopResult out;
-  const runtime::StopWatch watch;
-  for (std::size_t i = 0; i < ops; ++i) {
-    des::Event ev = queue.pop();
-    out.checksum = mix(out.checksum, bits_of(ev.time));
-    out.checksum = mix(out.checksum, ev.id);
-    queue.push(des::Event{ev.time + 0.25 + rng.uniform01() * 4.0, next_id++,
-                          [] {}});
   }
   out.ms = watch.elapsed_ms();
   return out;
@@ -211,38 +188,26 @@ int main(int argc, char** argv) {
   const std::string out_path =
       args.get_string("out", "BENCH_throughput.json");
 
-  using des::EventQueueKind;
   using core::PullQueue;
 
-  // 1. Combined hot loop, seed vs fast structures.
-  const LoopResult hot_seed = min_of(rounds, [&] {
-    return hot_loop(EventQueueKind::kBinaryHeap, PullQueue::SelectMode::kScan,
-                    ops);
-  });
-  const LoopResult hot_fast = min_of(rounds, [&] {
-    return hot_loop(EventQueueKind::kCalendar,
-                    PullQueue::SelectMode::kIndexed, ops);
-  });
+  // 1. Combined hot loop, seed vs fast pull selection.
+  const LoopResult hot_seed = min_of(
+      rounds, [&] { return hot_loop(PullQueue::SelectMode::kScan, ops); });
+  const LoopResult hot_fast = min_of(
+      rounds, [&] { return hot_loop(PullQueue::SelectMode::kIndexed, ops); });
   const bool hot_identical = hot_seed.checksum == hot_fast.checksum;
   const double eps_seed = static_cast<double>(ops) / (hot_seed.ms / 1000.0);
   const double eps_fast = static_cast<double>(ops) / (hot_fast.ms / 1000.0);
   const double speedup = hot_seed.ms / hot_fast.ms;
 
-  // 2. Per-structure telemetry.
-  const LoopResult eq_heap = min_of(rounds, [&] {
-    return event_churn(EventQueueKind::kBinaryHeap, ops);
-  });
-  const LoopResult eq_cal = min_of(rounds, [&] {
-    return event_churn(EventQueueKind::kCalendar, ops);
-  });
+  // 2. Pull-queue telemetry.
   const LoopResult pq_scan = min_of(rounds, [&] {
     return pull_churn(PullQueue::SelectMode::kScan, ops / 4);
   });
   const LoopResult pq_indexed = min_of(rounds, [&] {
     return pull_churn(PullQueue::SelectMode::kIndexed, ops / 4);
   });
-  const bool parts_identical = eq_heap.checksum == eq_cal.checksum &&
-                               pq_scan.checksum == pq_indexed.checksum;
+  const bool parts_identical = pq_scan.checksum == pq_indexed.checksum;
 
   // 3. Trace-enabled overhead of the full hybrid run. Export/report stay
   //    outside the timed region (deferred rendering is the design).
@@ -309,12 +274,6 @@ int main(int argc, char** argv) {
       << "    \"speedup\": " << speedup << ",\n"
       << "    \"bit_identical\": " << (hot_identical ? "true" : "false")
       << "\n  },\n"
-      << "  \"event_queue\": {\n"
-      << "    \"heap_ms\": " << eq_heap.ms << ",\n"
-      << "    \"calendar_ms\": " << eq_cal.ms << ",\n"
-      << "    \"bit_identical\": "
-      << (eq_heap.checksum == eq_cal.checksum ? "true" : "false")
-      << "\n  },\n"
       << "  \"pull_queue\": {\n"
       << "    \"scan_ms\": " << pq_scan.ms << ",\n"
       << "    \"indexed_ms\": " << pq_indexed.ms << ",\n"
@@ -333,8 +292,6 @@ int main(int argc, char** argv) {
   std::cout << "hot loop: seed " << hot_seed.ms << " ms, fast " << hot_fast.ms
             << " ms (speedup " << speedup << "x, "
             << (hot_identical ? "bit-identical" : "DIVERGED") << ")\n"
-            << "event queue: heap " << eq_heap.ms << " ms, calendar "
-            << eq_cal.ms << " ms\n"
             << "pull queue: scan " << pq_scan.ms << " ms, indexed "
             << pq_indexed.ms << " ms\n"
             << "trace overhead: " << trace_pct << "% (baseline " << off_ms

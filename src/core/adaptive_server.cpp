@@ -215,10 +215,9 @@ AdaptiveResult AdaptiveHybridServer::run(const workload::Trace& trace) {
   }
   set_push_set(initial_ranking, config_.initial_cutoff);
 
-  for (const auto& request : trace.requests()) {
-    sim_.schedule_at(request.arrival,
-                     [this, request]() { on_arrival(request); });
-  }
+  sim_.attach_arrivals(
+      trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
+      [this, &trace](std::size_t i) { on_arrival(trace[i]); });
   server_busy_ = false;
   if (!push_list_.empty()) {
     server_busy_ = true;

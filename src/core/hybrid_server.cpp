@@ -778,9 +778,12 @@ SimResult HybridServer::run(const workload::Trace& trace) {
                      [this]() { evaluate_overload(); });
   }
 
-  for (const auto& request : trace.requests()) {
-    sim_.schedule_at(request.arrival, [this, request]() { on_arrival(request); });
-  }
+  // The trace streams through the kernel; its arrival ids are reserved
+  // here, after the timers above and before the first serve_next — the
+  // numbering serve::LiveServer mirrors.
+  sim_.attach_arrivals(
+      trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
+      [this, &trace](std::size_t i) { on_arrival(trace[i]); });
   server_busy_ = true;
   if (config_.cutoff == 0) {
     server_busy_ = false;  // pure pull: sleep until the first arrival

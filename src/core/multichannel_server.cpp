@@ -120,10 +120,9 @@ MultiChannelResult MultiChannelServer::run(const workload::Trace& trace) {
   queue_len_area_ = 0.0;
   queue_len_last_t_ = 0.0;
 
-  for (const auto& request : trace.requests()) {
-    sim_.schedule_at(request.arrival,
-                     [this, request]() { on_arrival(request); });
-  }
+  sim_.attach_arrivals(
+      trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
+      [this, &trace](std::size_t i) { on_arrival(trace[i]); });
   if (config_.cutoff > 0 && !trace.empty()) {
     sim_.schedule_at(0.0, [this]() { push_loop(); });
   }

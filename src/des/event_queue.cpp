@@ -4,35 +4,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "des/calendar_queue.hpp"
-
 namespace pushpull::des {
 
-EventQueue::EventQueue() = default;
-
-EventQueue::EventQueue(EventQueueKind kind) {
-  if (kind == EventQueueKind::kCalendar) {
-    calendar_ = std::make_unique<CalendarQueue>();
-  }
-}
-
-EventQueue::EventQueue(EventQueue&&) noexcept = default;
-EventQueue& EventQueue::operator=(EventQueue&&) noexcept = default;
-EventQueue::~EventQueue() = default;
-
-bool EventQueue::empty() const noexcept {
-  return calendar_ ? calendar_->empty() : live_count_ == 0;
-}
-
-std::size_t EventQueue::size() const noexcept {
-  return calendar_ ? calendar_->size() : live_count_;
-}
-
 void EventQueue::push(Event event) {
-  if (calendar_) {
-    calendar_->push(std::move(event));
-    return;
-  }
   if (pending_.contains(event.id)) {
     throw std::logic_error("EventQueue: duplicate event id " +
                            std::to_string(event.id));
@@ -52,7 +26,6 @@ void EventQueue::drop_cancelled_top() const {
 }
 
 Event EventQueue::pop() {
-  if (calendar_) return calendar_->pop();
   drop_cancelled_top();
   if (heap_.empty()) {
     throw std::logic_error("EventQueue: pop() on an empty queue");
@@ -65,17 +38,15 @@ Event EventQueue::pop() {
   return event;
 }
 
-SimTime EventQueue::next_time() const {
-  if (calendar_) return calendar_->next_time();
+const Event& EventQueue::top() const {
   drop_cancelled_top();
   if (heap_.empty()) {
-    throw std::logic_error("EventQueue: next_time() on an empty queue");
+    throw std::logic_error("EventQueue: top() on an empty queue");
   }
-  return heap_.front().time;
+  return heap_.front();
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (calendar_) return calendar_->cancel(id);
   if (pending_.erase(id) == 0) return false;
   cancelled_.insert(id);
   --live_count_;
@@ -83,10 +54,6 @@ bool EventQueue::cancel(EventId id) {
 }
 
 void EventQueue::clear() {
-  if (calendar_) {
-    calendar_->clear();
-    return;
-  }
   heap_.clear();
   pending_.clear();
   cancelled_.clear();

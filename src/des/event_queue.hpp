@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -9,35 +8,20 @@
 
 namespace pushpull::des {
 
-class CalendarQueue;
-
-/// Pending-event set implementation, chosen at construction.
+/// Pending-event set: a binary min-heap on (time, id) with lazy
+/// cancellation.
 ///
-/// kBinaryHeap is the reference structure: a binary min-heap on (time, id),
-/// O(log n) per operation, trivially correct. kCalendar is the O(1)-amortized
-/// calendar queue (see calendar_queue.hpp), proven pop-order-identical to the
-/// heap by the differential suite in tests/test_event_queue_diff.cpp.
-enum class EventQueueKind { kBinaryHeap, kCalendar };
-
-/// Pending-event set: (time, id) ordering with lazy cancellation.
-///
-/// The default backend is a binary min-heap; cancelled events stay in the
-/// heap but are skipped on pop, with the cancelled-id set purged as they
-/// surface. This keeps cancel O(1) and pop amortized O(log n), which is the
-/// right trade for simulations where cancellations are rare (timeouts that
-/// usually fire). A calendar-queue backend (kCalendar) with identical
-/// observable behavior and O(1) amortized push/pop can be selected at
-/// construction for large pending sets.
+/// Cancelled events stay in the heap but are skipped on pop, with the
+/// cancelled-id set purged as they surface. This keeps cancel O(1) and pop
+/// amortized O(log n), which is the right trade for simulations where
+/// cancellations are rare (timeouts that usually fire). Trace arrivals do
+/// not pass through here — the Simulator streams them (see
+/// Simulator::attach_arrivals) — so the set holds only the timers a run
+/// has in flight.
 class EventQueue {
  public:
-  EventQueue();  // binary heap
-  explicit EventQueue(EventQueueKind kind);
-  EventQueue(EventQueue&&) noexcept;
-  EventQueue& operator=(EventQueue&&) noexcept;
-  ~EventQueue();
-
-  [[nodiscard]] bool empty() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// Inserts an event; its id must be unique (the Simulator guarantees this).
   void push(Event event);
@@ -45,12 +29,15 @@ class EventQueue {
   /// Removes and returns the earliest live event. Precondition: !empty().
   [[nodiscard]] Event pop();
 
-  /// Time of the earliest live event. Precondition: !empty().
+  /// The earliest live event, left in place. Precondition: !empty().
   /// Logically const: the lazy purge of cancelled entries it may trigger is
   /// invisible to callers (live set and observable order are unchanged), so
-  /// the backend internals are `mutable` rather than forcing non-const
-  /// access for a pure query.
-  [[nodiscard]] SimTime next_time() const;
+  /// the heap internals are `mutable` rather than forcing non-const access
+  /// for a pure query.
+  [[nodiscard]] const Event& top() const;
+
+  /// Time of the earliest live event. Precondition: !empty().
+  [[nodiscard]] SimTime next_time() const { return top().time; }
 
   /// Marks an event as cancelled. Returns false if the id is not pending
   /// (already fired, already cancelled, or never scheduled).
@@ -61,13 +48,12 @@ class EventQueue {
  private:
   void drop_cancelled_top() const;
 
-  // mutable: next_time() purges cancelled entries lazily without changing
-  // any observable state (see its doc comment).
+  // mutable: top() purges cancelled entries lazily without changing any
+  // observable state (see its doc comment).
   mutable std::vector<Event> heap_;
   std::unordered_set<EventId> pending_;             // live, not-yet-fired ids
   mutable std::unordered_set<EventId> cancelled_;   // cancelled, still in heap_
   std::size_t live_count_ = 0;
-  std::unique_ptr<CalendarQueue> calendar_;  // engaged iff kind == kCalendar
 };
 
 }  // namespace pushpull::des

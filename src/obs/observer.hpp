@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,19 +18,24 @@ namespace pushpull::obs {
 /// (pull-queue length, per-class response time).
 ///
 /// Samples are buffered and folded into the estimators lazily: the hot
-/// path (`add`) is one vector push, and the Welford + 3×P² arithmetic runs
-/// at the first accessor call (report/export time) — DESIGN §13. Folding
-/// replays the buffer in arrival order, so every statistic is bit-identical
-/// to streaming each sample immediately. The buffer is capped at
-/// kFoldChunk samples (folded eagerly past that), keeping memory O(1) in
-/// the run length.
+/// path (`add`) is one store into a fixed-size block, and the Welford +
+/// 3×P² arithmetic runs at the first accessor call (report/export time) —
+/// DESIGN §13. Blocks, unlike one growing vector, never copy what they
+/// hold and touch each page once. Folding replays the blocks in arrival
+/// order, so every statistic is bit-identical to streaming each sample
+/// immediately. The buffer is capped at kFoldChunk samples (folded eagerly
+/// past that), keeping memory O(1) in the run length.
 class QuantileTrack {
  public:
   QuantileTrack() : p50_(0.50), p90_(0.90), p99_(0.99) {}
 
   void add(double x) {
-    deferred_.push_back(x);
-    if (deferred_.size() >= kFoldChunk) fold();
+    if (fill_ == kBlock) {
+      if (blocks_.size() * kBlock >= kFoldChunk) fold();
+      blocks_.push_back(std::make_unique_for_overwrite<double[]>(kBlock));
+      fill_ = 0;
+    }
+    blocks_.back()[fill_++] = x;
   }
 
   [[nodiscard]] const metrics::Welford& moments() const {
@@ -51,20 +57,29 @@ class QuantileTrack {
 
  private:
   static constexpr std::size_t kFoldChunk = std::size_t{1} << 20;
+  static constexpr std::size_t kBlock = std::size_t{1} << 13;  // 64 KiB
 
   void fold() const {
-    for (const double x : deferred_) {
-      moments_.add(x);
-      p50_.add(x);
-      p90_.add(x);
-      p99_.add(x);
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      const std::size_t n = b + 1 == blocks_.size() ? fill_ : kBlock;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = blocks_[b][i];
+        moments_.add(x);
+        p50_.add(x);
+        p90_.add(x);
+        p99_.add(x);
+      }
     }
-    deferred_.clear();
+    blocks_.clear();
+    fill_ = kBlock;
   }
 
   // mutable: folding is a representation change invisible through the
   // const accessors.
-  mutable std::vector<double> deferred_;
+  mutable std::vector<std::unique_ptr<double[]>> blocks_;
+  // Samples in blocks_.back(); kBlock when there is none, so the next add
+  // opens a block.
+  mutable std::size_t fill_ = kBlock;
   mutable metrics::Welford moments_;
   mutable metrics::P2Quantile p50_;
   mutable metrics::P2Quantile p90_;

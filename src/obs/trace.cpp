@@ -10,9 +10,8 @@ namespace {
 
 /// LEB128 without the sign games: 7 payload bits per byte, high bit marks
 /// continuation. Small operands (class ids, attempt counts, seq deltas of
-/// 1) cost one byte. Encoders write into a caller-provided stack buffer
-/// and return the byte count, so a whole record lands in the log with one
-/// bulk insert.
+/// 1) cost one byte. Encoders write straight into the chunk and return the
+/// byte count.
 std::size_t put_varint_buf(std::uint8_t* buf, std::uint64_t value) {
   std::size_t n = 0;
   while (value >= 0x80) {
@@ -23,18 +22,6 @@ std::size_t put_varint_buf(std::uint8_t* buf, std::uint64_t value) {
   return n;
 }
 
-std::uint64_t get_varint(const std::vector<std::uint8_t>& log,
-                         std::size_t& off) {
-  std::uint64_t value = 0;
-  int shift = 0;
-  while (true) {
-    const std::uint8_t byte = log[off++];
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-}
-
 std::uint64_t read_varint(const std::uint8_t*& p) {
   std::uint64_t value = 0;
   int shift = 0;
@@ -43,11 +30,6 @@ std::uint64_t read_varint(const std::uint8_t*& p) {
     value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return value;
     shift += 7;
-  }
-}
-
-void skip_varint(const std::uint8_t*& p) {
-  while ((*p++ & 0x80) != 0) {
   }
 }
 
@@ -62,10 +44,10 @@ std::size_t put_f64_buf(std::uint8_t* buf, double value) {
   return 8;
 }
 
-double get_f64(const std::vector<std::uint8_t>& log, std::size_t& off) {
+double read_f64(const std::uint8_t*& p) {
   std::uint64_t bits = 0;
   for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(log[off++]) << (8 * i);
+    bits |= static_cast<std::uint64_t>(*p++) << (8 * i);
   }
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));
@@ -73,6 +55,9 @@ double get_f64(const std::vector<std::uint8_t>& log, std::size_t& off) {
 }
 
 constexpr std::uint8_t kHasV = 0x01;
+/// Largest encoded record: flags, 5-byte name id, time, three 10-byte
+/// varints, v.
+constexpr std::size_t kMaxRecordBytes = 1 + 5 + 8 + 3 * 10 + 8;
 
 }  // namespace
 
@@ -85,12 +70,15 @@ std::size_t TraceSink::NameKeyHash::operator()(
 }
 
 TraceSink::TraceSink(std::size_t capacity, std::uint32_t categories)
-    : capacity_(capacity), categories_(categories & kAllCategories) {
+    : capacity_(capacity),
+      categories_(categories & kAllCategories),
+      chunk_records_(std::clamp<std::size_t>(capacity / 16, 1, 4096)),
+      // ~24 bytes is a generous per-record average; a chunk also closes
+      // early when the next record might not fit.
+      chunk_bytes_(chunk_records_ * 24 + kMaxRecordBytes) {
   if (capacity_ == 0) {
     throw std::logic_error("TraceSink: capacity must be positive");
   }
-  // ~24 bytes is a generous per-record estimate; cap the up-front grab.
-  log_.reserve(std::min<std::size_t>(capacity_ * 24, std::size_t{1} << 20));
 }
 
 std::uint32_t TraceSink::intern(const char* name, Category category) {
@@ -118,11 +106,10 @@ void TraceSink::append_record(double time, std::uint64_t seq,
                               std::uint32_t name_id, std::uint64_t a,
                               std::uint64_t b, double v) {
   // Layout: [flags][varint name_id][raw time][varint seq_delta][varint a]
-  //         [varint b][raw v iff kHasV]. Self-delimiting, so drop/decode
-  //         parse forward without a length prefix. Encoded into a stack
-  //         buffer first so the log takes one bulk insert, not ~20
-  //         per-byte push_backs.
-  std::uint8_t buf[64];
+  //         [varint b][raw v iff kHasV]. Self-delimiting, so decode parses
+  //         forward without a length prefix.
+  Chunk& chunk = chunks_.back();
+  std::uint8_t* buf = chunk.bytes.get() + chunk.used;
   std::size_t n = 0;
   std::uint64_t vbits = 0;
   std::memcpy(&vbits, &v, sizeof(vbits));
@@ -135,58 +122,69 @@ void TraceSink::append_record(double time, std::uint64_t seq,
   n += put_varint_buf(buf + n, a);
   n += put_varint_buf(buf + n, b);
   if ((flags & kHasV) != 0) n += put_f64_buf(buf + n, v);
-  log_.insert(log_.end(), buf, buf + n);
+  chunk.used += n;
+  ++chunk.records;
 }
 
-void TraceSink::drop_oldest() {
-  const std::uint8_t* base = log_.data();
-  const std::uint8_t* p = base + head_off_;
-  const std::uint8_t flags = *p++;
-  skip_varint(p);  // name_id
-  p += 8;          // time
-  head_prev_seq_ += read_varint(p);
-  skip_varint(p);  // a
-  skip_varint(p);  // b
-  if ((flags & kHasV) != 0) p += 8;
-  head_off_ = static_cast<std::size_t>(p - base);
-  --count_;
-  ++dropped_;
-  // Reclaim the dead prefix once it outweighs the live suffix; amortized
-  // O(1) per record, bounds the log at ~2x the live bytes.
-  if (head_off_ > log_.size() - head_off_) {
-    log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(
-                                                head_off_));
-    head_off_ = 0;
+void TraceSink::open_chunk() {
+  while (!chunks_.empty() && held_ - chunks_.front().records >= capacity_) {
+    held_ -= chunks_.front().records;
+    spare_.push_back(std::move(chunks_.front().bytes));
+    chunks_.pop_front();
   }
+  Chunk chunk;
+  if (spare_.empty()) {
+    chunk.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(chunk_bytes_);
+  } else {
+    chunk.bytes = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  chunk.prev_seq = tail_prev_seq_;
+  chunks_.push_back(std::move(chunk));
 }
 
 void TraceSink::record(double time, Category category, const char* name,
                        std::uint64_t a, std::uint64_t b, double v) {
   const std::uint64_t seq = next_seq_++;
   if ((categories_ & category_bit(category)) == 0) return;
-  if (count_ == capacity_) drop_oldest();
+  if (chunks_.empty() || chunks_.back().records == chunk_records_ ||
+      chunks_.back().used + kMaxRecordBytes > chunk_bytes_) {
+    open_chunk();
+  }
   append_record(time, seq, intern(name, category), a, b, v);
-  ++count_;
+  ++held_;
+  if (count_ == capacity_) {
+    ++dropped_;
+  } else {
+    ++count_;
+  }
 }
 
 std::vector<TraceEvent> TraceSink::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(count_);
-  std::size_t off = head_off_;
-  std::uint64_t prev_seq = head_prev_seq_;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const std::uint8_t flags = log_[off++];
-    const auto name_id = static_cast<std::uint32_t>(get_varint(log_, off));
-    TraceEvent ev;
-    ev.time = get_f64(log_, off);
-    prev_seq += get_varint(log_, off);
-    ev.seq = prev_seq;
-    ev.category = names_[name_id].category;
-    ev.name = names_[name_id].name;
-    ev.a = get_varint(log_, off);
-    ev.b = get_varint(log_, off);
-    ev.v = (flags & kHasV) != 0 ? get_f64(log_, off) : 0.0;
-    out.push_back(ev);
+  std::size_t skip = held_ - count_;  // dropped head of the oldest chunk
+  for (const Chunk& chunk : chunks_) {
+    const std::uint8_t* p = chunk.bytes.get();
+    std::uint64_t prev_seq = chunk.prev_seq;
+    for (std::size_t i = 0; i < chunk.records; ++i) {
+      const std::uint8_t flags = *p++;
+      const auto name_id = static_cast<std::uint32_t>(read_varint(p));
+      TraceEvent ev;
+      ev.time = read_f64(p);
+      prev_seq += read_varint(p);
+      ev.seq = prev_seq;
+      ev.category = names_[name_id].category;
+      ev.name = names_[name_id].name;
+      ev.a = read_varint(p);
+      ev.b = read_varint(p);
+      ev.v = (flags & kHasV) != 0 ? read_f64(p) : 0.0;
+      if (skip > 0) {
+        --skip;
+      } else {
+        out.push_back(ev);
+      }
+    }
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& lhs, const TraceEvent& rhs) {
@@ -198,10 +196,10 @@ std::vector<TraceEvent> TraceSink::snapshot() const {
 }
 
 void TraceSink::clear() {
-  log_.clear();
-  head_off_ = 0;
+  for (Chunk& chunk : chunks_) spare_.push_back(std::move(chunk.bytes));
+  chunks_.clear();
+  held_ = 0;
   count_ = 0;
-  head_prev_seq_ = 0;
   tail_prev_seq_ = 0;
   next_seq_ = 0;
   dropped_ = 0;

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -41,19 +43,22 @@ struct TraceEvent {
 /// pins.
 ///
 /// Capacity: when full, the oldest stored event is dropped (and counted)
-/// so a long run degrades to "most recent window" rather than OOM.
+/// so a long run degrades to "most recent window" rather than OOM. Records
+/// are kept in chunks of up to capacity/16 events, and a whole chunk is
+/// released (its buffer recycled) once the newer chunks still cover the
+/// window, so dropping costs nothing per event; snapshot() skips the
+/// dropped head of the oldest chunk.
 ///
 /// Storage (DESIGN §13): events are not stored as 56-byte TraceEvent
-/// structs but as variable-length binary records in a byte log —
+/// structs but as variable-length binary records in byte chunks —
 /// (name, category) interned to a small id, seq delta-encoded, a/b as
 /// varints, time raw, v present only when its bit pattern is non-zero
 /// (~14-22 bytes per event in practice). Recording therefore costs a short
-/// sequential append into a cache-resident log instead of a wide scattered
-/// store; decoding back to TraceEvent structs — and from there to JSONL —
-/// is deferred to snapshot()/export, off the simulation hot path. The
-/// decoded stream is field-for-field identical to what the struct ring
-/// stored (same name pointers, same bit patterns), so exports are
-/// byte-identical.
+/// sequential append instead of a wide scattered store; decoding back to
+/// TraceEvent structs — and from there to JSONL — is deferred to
+/// snapshot()/export, off the simulation hot path. The decoded stream is
+/// field-for-field identical to what the struct ring stored (same name
+/// pointers, same bit patterns), so exports are byte-identical.
 class TraceSink {
  public:
   /// `capacity` must be > 0; `categories` is the runtime storage mask.
@@ -115,15 +120,26 @@ class TraceSink {
                                           Category category);
   void append_record(double time, std::uint64_t seq, std::uint32_t name_id,
                      std::uint64_t a, std::uint64_t b, double v);
-  /// Parses and discards the record at head_off_.
-  void drop_oldest();
+  /// Starts a new chunk, first releasing the oldest ones the newer chunks
+  /// no longer need.
+  void open_chunk();
+
+  /// Consecutive encoded records, decodable on their own from `prev_seq`.
+  struct Chunk {
+    std::unique_ptr<std::uint8_t[]> bytes;  // chunk_bytes_ long
+    std::size_t used = 0;
+    std::size_t records = 0;
+    std::uint64_t prev_seq = 0;  // seq preceding the chunk's first record
+  };
 
   std::size_t capacity_;
   std::uint32_t categories_;
-  std::vector<std::uint8_t> log_;   // encoded records, oldest at head_off_
-  std::size_t head_off_ = 0;        // byte offset of the oldest record
+  std::size_t chunk_records_;       // records per chunk, at most
+  std::size_t chunk_bytes_;         // buffer size of every chunk
+  std::deque<Chunk> chunks_;        // oldest first
+  std::vector<std::unique_ptr<std::uint8_t[]>> spare_;  // released buffers
+  std::size_t held_ = 0;            // records in chunks_ (>= count_)
   std::size_t count_ = 0;           // stored (undropped) records
-  std::uint64_t head_prev_seq_ = 0; // seq preceding the head record
   std::uint64_t tail_prev_seq_ = 0; // seq of the newest encoded record
   std::vector<NameKey> names_;      // id -> (name, category)
   std::unordered_map<NameKey, std::uint32_t, NameKeyHash> name_ids_;

@@ -2,6 +2,7 @@
 // cancellation, horizons, stop requests and reuse.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -49,6 +50,22 @@ TEST(EventQueue, CancelUnknownIsFalse) {
   q.push(Event{1.0, 1, [] {}});
   EXPECT_FALSE(q.cancel(99));
   EXPECT_FALSE(q.cancel(1) && q.cancel(1));  // second cancel fails
+}
+
+TEST(EventQueue, DuplicateIdThrows) {
+  EventQueue q;
+  q.push(Event{1.0, 7, [] {}});
+  EXPECT_THROW(q.push(Event{2.0, 7, [] {}}), std::logic_error);
+}
+
+TEST(EventQueue, EmptyPopAndNextTimeThrow) {
+  EventQueue q;
+  EXPECT_THROW((void)q.pop(), std::logic_error);
+  EXPECT_THROW((void)q.next_time(), std::logic_error);
+  q.push(Event{1.0, 1, [] {}});
+  (void)q.pop();
+  EXPECT_THROW((void)q.pop(), std::logic_error);
+  EXPECT_THROW((void)q.top(), std::logic_error);
 }
 
 TEST(EventQueue, NextTimeSkipsCancelled) {

@@ -5,6 +5,7 @@
 // committed golden trace fixtures.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -12,10 +13,13 @@
 #include <string_view>
 #include <vector>
 
+#include "case_dir.hpp"
 #include "core/config.hpp"
 #include "core/result.hpp"
 #include "exp/replication.hpp"
 #include "exp/scenario.hpp"
+#include "metrics/p2_quantile.hpp"
+#include "metrics/welford.hpp"
 #include "obs/category.hpp"
 #include "obs/config.hpp"
 #include "obs/export.hpp"
@@ -117,6 +121,30 @@ TEST(TraceSink, ClearRestartsSequenceNumbers) {
   EXPECT_EQ(sink.emitted(), 0u);
   sink.record(2.0, Category::kQueue, "e", 0, 0, 0.0);
   EXPECT_EQ(sink.snapshot().front().seq, 0u);
+}
+
+TEST(QuantileTrack, DeferredFoldMatchesStreamingAcrossBlocksAndChunks) {
+  // 2.5M samples cross many buffer blocks and two eager folds; the result
+  // must be the bits of folding every sample as it arrives.
+  obs::QuantileTrack track;
+  metrics::Welford moments;
+  metrics::P2Quantile p50(0.50), p90(0.90), p99(0.99);
+  std::uint64_t state = 7;
+  for (int i = 0; i < 2'500'000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double x = static_cast<double>(state >> 11) * 0x1.0p-53;
+    track.add(x);
+    moments.add(x);
+    p50.add(x);
+    p90.add(x);
+    p99.add(x);
+  }
+  EXPECT_EQ(track.moments().count(), moments.count());
+  EXPECT_EQ(track.moments().mean(), moments.mean());
+  EXPECT_EQ(track.moments().variance(), moments.variance());
+  EXPECT_EQ(track.p50(), p50.value());
+  EXPECT_EQ(track.p90(), p90.value());
+  EXPECT_EQ(track.p99(), p99.value());
 }
 
 TEST(Tracer, DefaultConstructedIsInert) {
@@ -588,7 +616,8 @@ std::string slurp(const std::string& path) {
 /// byte-compares it against the committed fixture.
 void expect_golden_trace(const std::string& args,
                          const std::string& golden_name) {
-  const std::string tmp = "obs_golden_trace.jsonl";
+  const testing_util::CaseDir dir;
+  const std::string tmp = dir.path("obs_golden_trace.jsonl");
   const std::string cmd = std::string(PUSHPULL_CLI_PATH) + " " + args +
                           " --trace " + tmp + " > /dev/null";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
@@ -597,7 +626,6 @@ void expect_golden_trace(const std::string& args,
   ASSERT_FALSE(golden.empty()) << "missing fixture " << golden_name;
   EXPECT_EQ(slurp(tmp), golden)
       << "trace drifted from golden " << golden_name;
-  (void)std::remove(tmp.c_str());
 }
 
 TEST(GoldenTrace, DefaultScenario) {

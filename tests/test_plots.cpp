@@ -1,10 +1,10 @@
 // Tests for the gnuplot emitter.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "case_dir.hpp"
 #include "exp/plots.hpp"
 
 namespace pushpull::exp {
@@ -19,11 +19,8 @@ std::string slurp(const std::string& path) {
 
 class PlotsTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::remove((prefix_ + ".dat").c_str());
-    std::remove((prefix_ + ".gp").c_str());
-  }
-  std::string prefix_ = "test_plot_output";
+  testing_util::CaseDir dir_;
+  std::string prefix_ = dir_.path("test_plot_output");
 };
 
 TEST_F(PlotsTest, RejectsEmptySpec) {

@@ -6,13 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "case_dir.hpp"
 #include "core/hybrid_server.hpp"
 #include "exp/chaos.hpp"
 #include "exp/scenario.hpp"
@@ -427,7 +427,8 @@ std::string slurp(const std::string& path) {
 /// committed before the resilience layer existed: with crashes and the
 /// ladder disabled (the default), the new code must be invisible.
 void expect_golden(const std::string& args, const std::string& golden_name) {
-  const std::string tmp = "resilience_golden_out.txt";
+  const testing_util::CaseDir dir;
+  const std::string tmp = dir.path("resilience_golden_out.txt");
   const std::string cmd =
       std::string(PUSHPULL_CLI_PATH) + " " + args + " > " + tmp;
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
@@ -436,7 +437,6 @@ void expect_golden(const std::string& args, const std::string& golden_name) {
   ASSERT_FALSE(expected.empty());
   EXPECT_EQ(slurp(tmp), expected)
       << "CLI output drifted from pre-resilience golden " << golden_name;
-  std::remove(tmp.c_str());
 }
 
 TEST(GoldenOutput, SimulateIsByteIdenticalToPreResilienceSeed) {

@@ -6,13 +6,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "case_dir.hpp"
 #include "catalog/catalog.hpp"
 #include "catalog/length_model.hpp"
 #include "exp/chaos.hpp"
@@ -447,7 +447,8 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(CliScenario, SimulateWithPresetReportsGapColumnsAndSummary) {
-  const std::string tmp = "scenario_cli_out.txt";
+  const testing_util::CaseDir dir;
+  const std::string tmp = dir.path("scenario_cli_out.txt");
   const std::string cmd = std::string(PUSHPULL_CLI_PATH) +
                           " simulate --requests 2000 --seed 7 --scenario "
                           "flashcrowd > " +
@@ -457,7 +458,6 @@ TEST(CliScenario, SimulateWithPresetReportsGapColumnsAndSummary) {
   EXPECT_NE(out.find("gap max"), std::string::npos) << out;
   EXPECT_NE(out.find("gap p99"), std::string::npos) << out;
   EXPECT_NE(out.find("scenario flashcrowd"), std::string::npos) << out;
-  std::remove(tmp.c_str());
 }
 
 // `serve --chaos` used to accept --scenario and silently ignore it; pin
@@ -465,22 +465,19 @@ TEST(CliScenario, SimulateWithPresetReportsGapColumnsAndSummary) {
 // must differ from the stationary run's) while the kill/recover/resume/
 // replay chain stays bit-exact (exit 0).
 TEST(CliScenario, ServeChaosScenarioShapesJournaledPlan) {
+  const testing_util::CaseDir dir;
   const std::string quiet = " > /dev/null 2>&1";
   const std::string base =
       std::string(PUSHPULL_CLI_PATH) +
-      " serve --chaos --reps 1 --duration 4 --target-qps 50 --seed 11 --dir .";
+      " serve --chaos --reps 1 --duration 4 --target-qps 50 --seed 11 --dir " +
+      dir.dir();
   ASSERT_EQ(std::system((base + quiet).c_str()), 0);
-  const std::string stationary = slurp("serve_chaos_rep0.svj");
+  const std::string stationary = slurp(dir.path("serve_chaos_rep0.svj"));
   ASSERT_EQ(std::system((base + " --scenario commuter" + quiet).c_str()), 0)
       << "shaped chaos campaign must stay replay-bit-exact";
-  const std::string shaped = slurp("serve_chaos_rep0.svj");
+  const std::string shaped = slurp(dir.path("serve_chaos_rep0.svj"));
   EXPECT_NE(stationary, shaped)
       << "--scenario must shape the requests the chaos harness journals";
-  for (const char* leftover :
-       {"serve_chaos_rep0.svj", "serve_chaos_rep0_killed.svj",
-        "serve_chaos_rep0_resumed.svj"}) {
-    std::remove(leftover);
-  }
 }
 
 TEST(CliScenario, ChaosRejectsNegativeSpikeFlags) {

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "case_dir.hpp"
 #include "core/hybrid_server.hpp"
 #include "obs/export.hpp"
 #include "serve/serve.hpp"
@@ -88,10 +89,6 @@ std::size_t header_frame_len(const std::string& journal) {
   const JournalScan scan = scan_journal(in);
   EXPECT_FALSE(scan.payloads.empty());
   return kFrameDigits + 1 + scan.payloads.front().size() + 1;
-}
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
 }
 
 void write_bytes(const std::string& path, std::string_view bytes) {
@@ -357,10 +354,11 @@ TEST(Journal, KillResumeReplayIsBitExact) {
   ASSERT_LT(header_len, run.trace.size());
 
   const std::size_t span = run.trace.size() - header_len;
+  const testing_util::CaseDir dir;
   for (std::size_t k = 1; k <= 5; ++k) {
     const std::size_t cut = header_len + span * k / 5;
-    const std::string killed = temp_path("robustness_killed.svj");
-    const std::string resumed = temp_path("robustness_resumed.svj");
+    const std::string killed = dir.path("robustness_killed.svj");
+    const std::string resumed = dir.path("robustness_resumed.svj");
     write_bytes(killed, std::string_view(run.trace).substr(0, cut));
 
     const ResumeResult resume = resume_from_journal(killed, resumed);
@@ -412,7 +410,8 @@ TEST(ChaosHarness, EveryReplicationSurvivesKillResumeReplay) {
   c.duration = 8.0;
   ChaosOptions options;
   options.replications = 3;
-  options.scratch_dir = ::testing::TempDir();
+  const testing_util::CaseDir dir;
+  options.scratch_dir = dir.dir();
   const ChaosReport report = run_chaos(c, options);
   ASSERT_EQ(report.reps.size(), 3u);
   EXPECT_TRUE(report.all_exact());

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -18,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "case_dir.hpp"
 #include "obs/category.hpp"
 #include "obs/trace.hpp"
 
@@ -196,24 +196,25 @@ std::string golden_replicate() {
 TEST(GoldenTraceRoundTrip, ByteIdenticalAcrossJobs128) {
   const std::string golden = golden_replicate();
   ASSERT_FALSE(golden.empty()) << "missing fixture trace_replicate.jsonl";
+  const testing_util::CaseDir dir;
   for (const int jobs : {1, 2, 8}) {
-    const std::string tmp = "trace_roundtrip_j" + std::to_string(jobs) +
-                            ".jsonl";
+    const std::string tmp =
+        dir.path("trace_roundtrip_j" + std::to_string(jobs) + ".jsonl");
     const std::string cmd = std::string(PUSHPULL_CLI_PATH) + kReplicateArgs +
                             " --jobs " + std::to_string(jobs) + " --trace " +
                             tmp + " > /dev/null";
     ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
     EXPECT_EQ(slurp(tmp), golden) << "jobs=" << jobs
                                   << " trace drifted from golden";
-    (void)std::remove(tmp.c_str());
   }
 }
 
 TEST(GoldenTraceRoundTrip, KillAndResumeReproducesGolden) {
   const std::string golden = golden_replicate();
   ASSERT_FALSE(golden.empty()) << "missing fixture trace_replicate.jsonl";
-  const std::string progress = "trace_roundtrip_progress.jsonl";
-  const std::string tmp = "trace_roundtrip_resumed.jsonl";
+  const testing_util::CaseDir dir;
+  const std::string progress = dir.path("trace_roundtrip_progress.jsonl");
+  const std::string tmp = dir.path("trace_roundtrip_resumed.jsonl");
 
   // Full run to get a complete progress log, then truncate it as a kill -9
   // mid-run would and resume from the remains.
@@ -230,8 +231,6 @@ TEST(GoldenTraceRoundTrip, KillAndResumeReproducesGolden) {
         " > /dev/null";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
   EXPECT_EQ(slurp(tmp), golden) << "resumed trace drifted from golden";
-  (void)std::remove(tmp.c_str());
-  (void)std::remove(progress.c_str());
 }
 
 #endif  // PUSHPULL_CLI_PATH && PUSHPULL_GOLDEN_DIR
