@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "fault/fault_config.hpp"
+#include "metrics/float_compare.hpp"
 #include "obs/config.hpp"
 #include "resilience/resilience_config.hpp"
 #include "sched/pull/policy.hpp"
@@ -70,6 +71,45 @@ struct HybridConfig {
   /// perspective, so enabling it never changes a single output number —
   /// which is also why it is excluded from replication fingerprints.
   obs::ObsConfig obs;
+};
+
+/// The live-serving extensions of the scheduler (DESIGN §10): per-class
+/// deadline scaling, the deadline-tightening spike, hedged re-requests and
+/// graceful drain. They shape a recorded live workload rather than the
+/// paper's model, so serve::ServeConfig carries them and hands them to
+/// core::ServerCore beside its HybridConfig — which is how `pushpull replay`
+/// re-runs any recording through the one DES driver. Defaults are inert:
+/// no hedge timer is armed, nothing drains, and patience draws are used
+/// as drawn.
+struct LiveExtensions {
+  /// Per-class multipliers on each patience (deadline) draw; empty = all
+  /// 1.0. Applied after the draw, so stream consumption never changes.
+  std::vector<double> deadline_scale;
+  /// Deadline-tightening spike (chaos): draws armed inside
+  /// [spike_start, spike_start + spike_duration) are multiplied by
+  /// `deadline_spike_factor`. factor == 1 or duration <= 0 disables.
+  double deadline_spike_factor = 1.0;
+  double deadline_spike_start = 0.0;
+  double deadline_spike_duration = 0.0;
+  /// Hedged re-request: a pull request still queued this many broadcast
+  /// units after admission posts a duplicate (synthetic id) into its
+  /// item's queue entry, boosting the entry's aggregate importance so the
+  /// scheduler reaches it sooner. <= 0 disables.
+  double hedge_after = 0.0;
+  /// Stop admission at this instant and drain (flush the pull queue; push
+  /// waiters stay in flight). <= 0 disables.
+  double drain_after = 0.0;
+
+  /// Deadline multiplier for a class (1.0 when deadline_scale is empty).
+  [[nodiscard]] double deadline_scale_for(std::size_t cls) const noexcept {
+    return cls < deadline_scale.size() ? deadline_scale[cls] : 1.0;
+  }
+
+  /// True when the deadline-tightening spike can fire.
+  [[nodiscard]] bool deadline_spike_enabled() const noexcept {
+    return !metrics::exactly_equal(deadline_spike_factor, 1.0) &&
+           deadline_spike_duration > 0.0;
+  }
 };
 
 }  // namespace pushpull::core

@@ -1,827 +1,36 @@
 #include "core/hybrid_server.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <stdexcept>
-#include <string>
-#include <unordered_set>
 #include <utility>
-
-#include "core/sched_rules.hpp"
-#include "resilience/crash.hpp"
-#include "resilience/snapshot.hpp"
-#include "rng/exponential.hpp"
-#include "rng/splitmix64.hpp"
-#include "sched/pull/aging.hpp"
-#include "rng/poisson.hpp"
-#include "rng/stream.hpp"
-#include "rng/uniform.hpp"
 
 namespace pushpull::core {
 
 HybridServer::HybridServer(const catalog::Catalog& cat,
                            const workload::ClientPopulation& pop,
-                           HybridConfig config)
-    : catalog_(&cat),
-      population_(&pop),
-      config_(std::move(config)),
-      demand_eng_(rng::StreamFactory(config_.seed).stream("bandwidth-demand")),
-      patience_eng_(rng::StreamFactory(config_.seed).stream("patience")) {
-  if (config_.cutoff > cat.size()) {
-    throw std::invalid_argument("HybridServer: cutoff beyond catalog size");
-  }
-  if (config_.warmup_fraction < 0.0 || config_.warmup_fraction >= 1.0) {
-    throw std::invalid_argument(
-        "HybridServer: warmup_fraction must be in [0, 1)");
-  }
-  config_.fault.validate();
-  config_.resilience.validate();
-  if (config_.fault.enabled) {
-    channel_.emplace(config_.fault.channel,
-                     rng::StreamFactory(config_.seed).stream("fault-channel"));
-  }
-  overload_ = resilience::OverloadController(config_.resilience.overload);
-  if (config_.cutoff > 0) {
-    push_sched_ =
-        sched::make_push_scheduler(config_.push_policy, cat, config_.cutoff);
-  }
-  pull_policy_ = sched::make_pull_policy(config_.pull_policy, config_.alpha);
-  if (config_.aging_rate > 0.0) {
-    pull_policy_ = std::make_unique<sched::AgingPolicy>(
-        std::move(pull_policy_), config_.aging_rate);
-  }
-  if (config_.total_bandwidth > 0.0) {
-    std::vector<double> fractions = config_.bandwidth_fractions;
-    if (fractions.empty()) fractions.assign(pop.num_classes(), 1.0);
-    if (fractions.size() != pop.num_classes()) {
-      throw std::invalid_argument(
-          "HybridServer: bandwidth fractions must match class count");
-    }
-    bandwidth_ = BandwidthManager(config_.total_bandwidth, std::move(fractions));
-  }
-  push_waiters_.resize(cat.size());
-}
-
-void HybridServer::note_queue_len() {
-  const des::SimTime now = sim_.now();
-  queue_len_area_ += static_cast<double>(pull_queue_.total_requests()) *
-                     (now - queue_len_last_t_);
-  queue_len_last_t_ = now;
-  if (obs_) obs_->note_queue_len(pull_queue_.total_requests());
-}
-
-void HybridServer::settle_one() {
-  ++settled_;
-  if (settled_ == to_settle_) sim_.request_stop();
-}
-
-void HybridServer::arm_patience(const workload::Request& request) {
-  if (config_.mean_patience <= 0.0) return;
-  const double patience =
-      rng::exponential(patience_eng_, 1.0 / config_.mean_patience);
-  const des::EventId event = sim_.schedule_in(
-      patience, [this, request]() { on_patience_expired(request); });
-  patience_.emplace(request.id, event);
-}
-
-void HybridServer::disarm_patience(workload::RequestId request) {
-  if (config_.mean_patience <= 0.0) return;
-  const auto it = patience_.find(request);
-  if (it == patience_.end()) return;
-  sim_.cancel(it->second);
-  patience_.erase(it);
-}
-
-void HybridServer::on_patience_expired(const workload::Request& request) {
-  patience_.erase(request.id);
-  // The ladder's widen-push can move a request between the pull queue and
-  // the push park while its timer is armed, so look in both places rather
-  // than trusting the static cutoff test.
-  bool removed = false;
-  auto& waiters = push_waiters_[request.item];
-  for (auto it = waiters.begin(); it != waiters.end(); ++it) {
-    if (it->id == request.id) {
-      waiters.erase(it);
-      removed = true;
-      break;
-    }
-  }
-  if (!removed) {
-    note_queue_len();
-    removed = pull_queue_.remove_request(request.item, request.id,
-                                         population_->priority(request.cls));
-  }
-  // The timer is disarmed whenever the request is committed or dropped, so
-  // an expired timer must always find its request still waiting.
-  if (!removed) {
-    throw std::logic_error(
-        "HybridServer: patience timer fired for request " +
-        std::to_string(request.id) + " (item " +
-        std::to_string(request.item) +
-        ") that is no longer waiting; timers must be disarmed when a "
-        "request is committed to a transmission or dropped");
-  }
-  retry_count_.erase(request.id);
-  if (obs_) {
-    ++obs_->counters.server_abandoned;
-    trace_.emit<obs::Category::kQueue>(sim_.now(), "abandon", request.item,
-                                       request.cls);
-  }
-  if (measured(request)) collector_->record_abandoned(request.cls);
-  settle_one();
-}
-
-bool HybridServer::transmission_corrupted() {
-  if (!channel_.has_value()) return false;
-  if (obs_) {
-    // Traced draw: identical engine consumption, plus state-flip events
-    // and the flip counter.
-    return channel_->corrupts(trace_, sim_.now(),
-                              &obs_->counters.fault_flips);
-  }
-  return channel_->corrupts();
-}
-
-void HybridServer::shed_request(const workload::Request& request) {
-  retry_count_.erase(request.id);
-  if (obs_) {
-    ++obs_->counters.fault_shed;
-    trace_.emit<obs::Category::kQueue>(sim_.now(), "shed", request.item,
-                                       request.cls);
-  }
-  if (measured(request)) collector_->record_shed(request.cls);
-  settle_one();
-}
-
-bool HybridServer::admit_pull(const workload::Request& request) {
-  const std::size_t capacity = effective_queue_capacity();
-  if (capacity == 0 || pull_queue_.total_requests() < capacity) return true;
-  if (effective_shed_policy() == fault::ShedPolicy::kDropTail) {
-    shed_request(request);
-    return false;
-  }
-  // Drop-lowest-priority: sacrifice the least important queued request
-  // (ties prefer the youngest; an arrival no more important than the victim
-  // is the one shed — see fault::LowestPriorityVictim for the exact rule).
-  fault::LowestPriorityVictim<workload::Request> scan;
-  for (const auto& entry : pull_queue_.entries()) {
-    for (const auto& r : entry.pending) {
-      scan.consider(r, population_->priority(r.cls), r.id);
-    }
-  }
-  if (scan.arrival_yields_to(population_->priority(request.cls))) {
-    shed_request(request);
-    return false;
-  }
-  const workload::Request evicted = *scan.victim();  // copy before mutation
-  disarm_patience(evicted.id);
-  pull_queue_.remove_request(evicted.item, evicted.id, scan.priority());
-  shed_request(evicted);
-  return true;
-}
-
-void HybridServer::requeue_pull(const workload::Request& request) {
-  if (down_) {
-    // The uplink is dark with the server; the re-request lands once the
-    // server is back.
-    downtime_parked_.push_back(request);
-    return;
-  }
-  note_queue_len();
-  if (admit_pull(request)) {
-    pull_queue_.add(request, population_->priority(request.cls),
-                    catalog_->length(request.item),
-                    catalog_->probability(request.item));
-    max_queue_len_ = std::max(max_queue_len_, pull_queue_.total_requests());
-    trace_.emit<obs::Category::kQueue>(
-        sim_.now(), "enter", request.item, request.cls,
-        static_cast<double>(pull_queue_.total_requests()));
-    arm_patience(request);
-  }
-  if (!server_busy_) {
-    server_busy_ = true;
-    serve_next(/*just_did_push=*/true);
-  }
-}
-
-void HybridServer::on_pull_corrupted(const sched::PullEntry& entry) {
-  for (const auto& r : entry.pending) {
-    if (measured(r)) collector_->record_corrupted(r.cls);
-    const std::uint32_t attempt = ++retry_count_[r.id];
-    if (attempt > config_.fault.retry.max_retries) {
-      retry_count_.erase(r.id);
-      if (obs_) {
-        ++obs_->counters.fault_lost;
-        trace_.emit<obs::Category::kFault>(sim_.now(), "lost", r.item,
-                                           attempt);
-      }
-      if (measured(r)) collector_->record_lost(r.cls);
-      settle_one();
-      continue;
-    }
-    if (obs_) {
-      ++obs_->counters.fault_retries;
-      trace_.emit<obs::Category::kFault>(sim_.now(), "retry", r.item, attempt);
-    }
-    if (measured(r)) collector_->record_retry(r.cls);
-    sim_.schedule_in(config_.fault.retry.backoff_delay(attempt),
-                     [this, r]() { requeue_pull(r); });
-  }
-}
-
-void HybridServer::deliver(const workload::Request& request, bool via_push) {
-  const double now = sim_.now();
-  if (obs_) {
-    if (via_push) {
-      ++obs_->counters.server_served_push;
-    } else {
-      ++obs_->counters.server_served_pull;
-    }
-    obs_->note_response(request.cls, now - request.arrival);
-  }
-  if (measured(request)) {
-    // parity:begin(deliver-at-end, request=r)
-    sched_rules::record_delivery(*collector_, request, now, via_push);
-    // parity:end
-  }
-  settle_one();
-}
-
-void HybridServer::on_arrival(const workload::Request& request) {
-  if (obs_) ++obs_->counters.server_arrivals;
-  if (measured(request)) collector_->record_arrival(request.cls);
-  if (request.item < effective_cutoff()) {
-    // Push item: the request is "ignored" by the scheduler (the item is on
-    // the broadcast program anyway); park it to measure its delay.
-    push_waiters_[request.item].push_back(request);
-    trace_.emit<obs::Category::kQueue>(sim_.now(), "park_push", request.item,
-                                       request.cls);
-    arm_patience(request);
-    return;
-  }
-  if (uplink_rejected(request.cls)) {
-    // The ladder's admission control refuses the class at the uplink; the
-    // request never enters server state.
-    if (obs_) {
-      ++obs_->counters.server_rejected;
-      trace_.emit<obs::Category::kLadder>(sim_.now(), "reject", request.item,
-                                          request.cls);
-    }
-    if (measured(request)) collector_->record_rejected(request.cls);
-    settle_one();
-    return;
-  }
-  if (down_) {
-    // The server is dark; the request reaches it at recovery. Clients do
-    // not abandon while parked (no patience armed until the queue admits
-    // them).
-    downtime_parked_.push_back(request);
-    return;
-  }
-  note_queue_len();
-  if (!admit_pull(request)) return;  // shed by the bounded-queue policy
-  pull_queue_.add(request, population_->priority(request.cls),
-                  catalog_->length(request.item),
-                  catalog_->probability(request.item));
-  max_queue_len_ = std::max(max_queue_len_, pull_queue_.total_requests());
-  trace_.emit<obs::Category::kQueue>(
-      sim_.now(), "enter", request.item, request.cls,
-      static_cast<double>(pull_queue_.total_requests()));
-  arm_patience(request);
-  if (!server_busy_) {
-    // Pure-pull server (cutoff 0) sleeping on an empty queue: wake it.
-    server_busy_ = true;
-    serve_next(/*just_did_push=*/true);
-  }
-}
-
-void HybridServer::serve_next(bool just_did_push) {
-  if (settled_ == to_settle_) {
-    server_busy_ = false;
-    return;
-  }
-  const double now = sim_.now();
-  if (effective_cutoff() == 0) {
-    if (pull_queue_.empty()) {
-      server_busy_ = false;  // idle until the next pull arrival wakes us
-      return;
-    }
-    start_pull(now);
-    return;
-  }
-  // parity:begin(push-pull-alternation)
-  // Strict alternation: one pull opportunity after every push.
-  if (just_did_push && !pull_queue_.empty()) {
-    start_pull(now);
-  } else {
-    start_push(now);
-  }
-  // parity:end
-}
-
-void HybridServer::start_push(double now) {
-  // parity:begin(catch-at-start, disarm_patience=disarm_deadline)
-  const catalog::ItemId item = push_sched_->next();
-  // Only clients already waiting when the transmission starts catch it;
-  // arrivals during the airtime wait for the next replica.
-  std::vector<workload::Request> catching = std::move(push_waiters_[item]);
-  push_waiters_[item].clear();
-  // Once the item is on air, the waiting clients are committed to it.
-  for (const auto& r : catching) disarm_patience(r.id);
-  // parity:end
-  trace_.emit<obs::Category::kPush>(now, "tx_start", item, catching.size(),
-                                    catalog_->length(item));
-  if (crash_active_) inflight_push_ = InFlightPush{item, catching};
-  const std::uint64_t epoch = server_epoch_;
-  sim_.schedule_in(
-      catalog_->length(item),
-      [this, item, epoch, catching = std::move(catching)]() {
-        if (epoch != server_epoch_) return;  // voided by a crash
-        inflight_push_.reset();
-        ++push_transmissions_;
-        if (obs_) ++obs_->counters.push_tx;
-        trace_.emit<obs::Category::kPush>(sim_.now(), "tx_end", item,
-                                          catching.size());
-        if (transmission_corrupted()) {
-          // A corrupted broadcast needs no re-request: the item comes
-          // around again next cycle, so the waiters just rejoin the
-          // (re-armed) park and their delay grows by one period. Unless
-          // the ladder shrank the item out of the broadcast program while
-          // this replica was on air — then the park would strand them
-          // forever (no next cycle, and the shrink migration can't see
-          // passengers of an in-flight transmission), so they are pull
-          // requests again and re-enter through admission control.
-          // requeue_pull's wake is a no-op here (the server is busy), so
-          // the serve_next below still decides with every passenger
-          // queued.
-          ++corrupted_push_transmissions_;
-          if (obs_) ++obs_->counters.fault_corrupt_push;
-          trace_.emit<obs::Category::kFault>(sim_.now(), "corrupt_push", item,
-                                             catching.size());
-          // parity:begin(corrupt-repark)
-          const bool still_broadcast =
-              sched_rules::repark_after_corruption(item, effective_cutoff());
-          // parity:end
-          for (const auto& r : catching) {
-            if (measured(r)) collector_->record_corrupted(r.cls);
-            if (still_broadcast) {
-              push_waiters_[item].push_back(r);
-              arm_patience(r);
-            } else {
-              requeue_pull(r);
-            }
-          }
-        } else {
-          for (const auto& r : catching) deliver(r, true);
-        }
-        serve_next(/*just_did_push=*/true);
-      });
-}
-
-void HybridServer::start_pull(double now) {
-  note_queue_len();
-  // parity:begin(pull-priority-context)
-  sched::PullContext ctx;
-  ctx.now = now;
-  ctx.expected_queue_len = now > 0.0 ? queue_len_area_ / now : 1.0;
-  // parity:end
-  auto entry = pull_queue_.extract_best(*pull_policy_, ctx);
-  if (!entry.has_value()) {
-    throw std::logic_error(
-        "HybridServer: start_pull on an empty pull queue; serve_next must "
-        "only schedule a pull opportunity while entries are pending");
-  }
-  note_queue_len();
-  trace_.emit<obs::Category::kQueue>(
-      now, "extract", entry->item, entry->pending.size(),
-      static_cast<double>(pull_queue_.total_requests()));
-  for (const auto& r : entry->pending) disarm_patience(r.id);
-
-  const double demand = config_.mean_bandwidth_demand > 0.0
-                            ? static_cast<double>(rng::poisson(
-                                  demand_eng_, config_.mean_bandwidth_demand))
-                            : 0.0;
-  const workload::ClassId cls = sched_rules::owning_class(*entry);
-  const bool admitted = bandwidth_.try_acquire(cls, demand);
-  if (config_.resilience.overload.enabled) {
-    const double alpha = config_.resilience.overload.ewma_alpha;
-    blocking_ewma_[cls] = alpha * (admitted ? 0.0 : 1.0) +
-                          (1.0 - alpha) * blocking_ewma_[cls];
-  }
-  if (!admitted) {
-    ++blocked_transmissions_;
-    if (obs_) {
-      ++obs_->counters.blocked_tx;
-      obs_->counters.blocked_requests += entry->pending.size();
-      trace_.emit<obs::Category::kPull>(now, "blocked", entry->item, cls,
-                                        demand);
-    }
-    for (const auto& r : entry->pending) {
-      retry_count_.erase(r.id);
-      if (measured(r)) collector_->record_blocked(r.cls);
-      settle_one();
-    }
-    serve_next(/*just_did_push=*/false);
-    return;
-  }
-  trace_.emit<obs::Category::kPull>(now, "tx_start", entry->item,
-                                    entry->pending.size(), demand);
-  if (crash_active_) inflight_pull_ = InFlightPull{*entry, cls, demand};
-  const std::uint64_t epoch = server_epoch_;
-  sim_.schedule_in(entry->length,
-                   [this, epoch, entry = std::move(*entry), cls, demand]() {
-                     if (epoch != server_epoch_) return;  // voided by a crash
-                     inflight_pull_.reset();
-                     bandwidth_.release(cls, demand);
-                     ++pull_transmissions_;
-                     if (obs_) ++obs_->counters.pull_tx;
-                     trace_.emit<obs::Category::kPull>(
-                         sim_.now(), "tx_end", entry.item,
-                         entry.pending.size());
-                     if (transmission_corrupted()) {
-                       ++corrupted_pull_transmissions_;
-                       if (obs_) ++obs_->counters.fault_corrupt_pull;
-                       trace_.emit<obs::Category::kFault>(
-                           sim_.now(), "corrupt_pull", entry.item,
-                           entry.pending.size());
-                       on_pull_corrupted(entry);
-                     } else {
-                       for (const auto& r : entry.pending) {
-                         retry_count_.erase(r.id);
-                         deliver(r, false);
-                       }
-                     }
-                     serve_next(/*just_did_push=*/false);
-                   });
-}
-
-// parity:begin(cutoff-boost, HybridServer=LiveServer)
-std::size_t HybridServer::effective_cutoff() const noexcept {
-  return sched_rules::effective_cutoff(config_.cutoff, cutoff_boost_,
-                                       catalog_->size());
-}
-// parity:end
-
-// parity:begin(overload-soft-cap, HybridServer=LiveServer)
-std::size_t HybridServer::effective_queue_capacity() const noexcept {
-  return sched_rules::effective_queue_capacity(overload_.level(),
-                                               config_.fault.queue_capacity,
-                                               overload_config().capacity_ref);
-}
-
-fault::ShedPolicy HybridServer::effective_shed_policy() const noexcept {
-  return sched_rules::effective_shed_policy(overload_.level(),
-                                            config_.fault.shed_policy);
-}
-// parity:end
-
-// parity:begin(uplink-admission, HybridServer=LiveServer)
-bool HybridServer::uplink_rejected(workload::ClassId cls) const noexcept {
-  return sched_rules::uplink_rejected(overload_.level(), cls,
-                                      population_->num_classes());
-}
-// parity:end
-
-void HybridServer::on_crash() {
-  if (settled_ == to_settle_) return;  // the run already drained
-  const double crash_time = sim_.now();
-  const double recovery_time = crash_time + config_.resilience.crash.downtime;
-  ++crash_count_;
-  if (obs_) {
-    ++obs_->counters.crash_count;
-    trace_.emit<obs::Category::kCrash>(crash_time, "crash", crash_count_, 0,
-                                       config_.resilience.crash.downtime);
-  }
-  total_downtime_ += config_.resilience.crash.downtime;
-  ++server_epoch_;  // voids the in-flight transmission-end event
-  down_ = true;
-  server_busy_ = false;
-  // Recovery is scheduled before any storm re-request so that, at equal
-  // instants, the server is back up before the first re-request lands.
-  sim_.schedule_at(recovery_time, [this]() { on_recovered(); });
-
-  // Clients committed to the on-air broadcast never got the item; their
-  // state is client-side, so they simply rejoin the park and wait for the
-  // next cycle after recovery.
-  if (inflight_push_.has_value()) {
-    for (const auto& r : inflight_push_->catching) {
-      push_waiters_[inflight_push_->item].push_back(r);
-      arm_patience(r);
-    }
-    inflight_push_.reset();
-  }
-
-  std::vector<workload::Request> storm;
-  // The on-air pull transmission is lost with the server; its bandwidth
-  // grant must be returned to the pool (the end event will never fire).
-  if (inflight_pull_.has_value()) {
-    bandwidth_.release(inflight_pull_->cls, inflight_pull_->demand);
-    for (const auto& r : inflight_pull_->entry.pending) storm.push_back(r);
-    inflight_pull_.reset();
-  }
-
-  // Queue state is server-side and dies with it. Warm recovery restores
-  // the requests covered by the latest snapshot (decoded through the
-  // versioned codec — the same path a process restart would take); cold
-  // recovery loses everything, including the broadcast-cycle position.
-  std::unordered_set<std::uint64_t> restored;
-  if (config_.resilience.crash.recovery == resilience::RecoveryMode::kWarm &&
-      !latest_snapshot_.empty()) {
-    const resilience::QueueSnapshot snap =
-        resilience::decode_snapshot(latest_snapshot_, snapshot_fingerprint_);
-    for (const std::uint64_t id : snap.queued) restored.insert(id);
-  } else if (config_.resilience.crash.recovery ==
-             resilience::RecoveryMode::kCold) {
-    if (push_sched_) push_sched_->reset();
-  }
-  std::vector<workload::Request> wiped;
-  for (const auto& entry : pull_queue_.entries()) {
-    for (const auto& r : entry.pending) {
-      if (!restored.contains(r.id)) wiped.push_back(r);
-    }
-  }
-  note_queue_len();
-  for (const auto& r : wiped) {
-    disarm_patience(r.id);
-    pull_queue_.remove_request(r.item, r.id, population_->priority(r.cls));
-    storm.push_back(r);
-  }
-
-  storm_rerequests_ += storm.size();
-  largest_storm_ = std::max(largest_storm_, storm.size());
-  if (obs_) {
-    obs_->counters.crash_storm += storm.size();
-    trace_.emit<obs::Category::kCrash>(crash_time, "storm", storm.size(),
-                                       crash_count_);
-  }
-  for (const auto& r : storm) storm_rerequest(r, crash_time, recovery_time);
-}
-
-void HybridServer::storm_rerequest(const workload::Request& request,
-                                   double crash_time, double recovery_time) {
-  if (measured(request)) collector_->record_stormed(request.cls);
-  const double spread = config_.resilience.crash.storm_spread;
-  // At zero spread no draw is consumed, so a deliberately synchronized
-  // storm replays identically with or without the jitter stream advanced.
-  const double jitter =
-      spread > 0.0 ? rng::uniform(*storm_eng_, 0.0, spread) : 0.0;
-  const double when =
-      recovery_time + config_.resilience.crash.rerequest_timeout + jitter;
-  sim_.schedule_at(when, [this, request, crash_time]() {
-    recovery_latency_.add(sim_.now() - crash_time);
-    requeue_pull(request);
-  });
-}
-
-void HybridServer::on_recovered() {
-  down_ = false;
-  trace_.emit<obs::Category::kCrash>(sim_.now(), "recover",
-                                     downtime_parked_.size(), crash_count_);
-  // Requests that arrived (or matured from retry backoffs) while the
-  // server was dark land now, in arrival order.
-  std::vector<workload::Request> parked = std::move(downtime_parked_);
-  downtime_parked_.clear();
-  for (const auto& r : parked) requeue_pull(r);
-  if (!server_busy_ && settled_ < to_settle_) {
-    server_busy_ = true;
-    serve_next(/*just_did_push=*/true);
-  }
-}
-
-void HybridServer::take_snapshot() {
-  if (settled_ == to_settle_) return;
-  if (!down_) {
-    resilience::QueueSnapshot snap;
-    snap.time = sim_.now();
-    for (const auto& entry : pull_queue_.entries()) {
-      for (const auto& r : entry.pending) snap.queued.push_back(r.id);
-    }
-    latest_snapshot_ = resilience::encode_snapshot(snap, snapshot_fingerprint_);
-    if (obs_) {
-      ++obs_->counters.crash_snapshots;
-      trace_.emit<obs::Category::kCrash>(sim_.now(), "snapshot",
-                                         snap.queued.size());
-    }
-  }
-  sim_.schedule_in(config_.resilience.crash.snapshot_interval,
-                   [this]() { take_snapshot(); });
-}
-
-void HybridServer::evaluate_overload() {
-  if (settled_ == to_settle_) return;
-  // parity:begin(ladder-occupancy)
-  const double occupancy = sched_rules::ladder_occupancy(
-      pull_queue_.total_requests(), push_waiters_, config_.cutoff,
-      effective_cutoff(), config_.fault.queue_capacity,
-      overload_config().capacity_ref);
-  const double worst_ewma = sched_rules::worst_blocking_ewma(blocking_ewma_);
-  // parity:end
-  const resilience::OverloadLevel before = overload_.level();
-  const resilience::OverloadLevel after =
-      obs_ ? overload_.update(sim_.now(), occupancy, worst_ewma, trace_)
-           : overload_.update(sim_.now(), occupancy, worst_ewma);
-  if (after != before) {
-    if (obs_) ++obs_->counters.ladder_transitions;
-    apply_overload_level(after);
-  }
-  sim_.schedule_in(config_.resilience.overload.eval_interval,
-                   [this]() { evaluate_overload(); });
-}
-
-void HybridServer::apply_overload_level(resilience::OverloadLevel level) {
-  // Shedding policy and soft cap are consulted on the fly by
-  // effective_shed_policy()/effective_queue_capacity(); the only action
-  // with state to migrate is the widen-push cutoff boost.
-  const std::size_t boost =
-      level >= resilience::OverloadLevel::kWidenPush
-          ? config_.resilience.overload.cutoff_step
-          : 0;
-  if (boost != cutoff_boost_) apply_cutoff_boost(boost);
-}
-
-void HybridServer::apply_cutoff_boost(std::size_t boost) {
-  const std::size_t old_cut = effective_cutoff();
-  cutoff_boost_ = boost;
-  const std::size_t new_cut = effective_cutoff();
-  if (new_cut == old_cut) return;
-  if (obs_) {
-    ++obs_->counters.cutoff_boosts;
-    trace_.emit<obs::Category::kCutoff>(sim_.now(), "boost", old_cut, new_cut);
-  }
-  push_sched_ = new_cut > 0 ? sched::make_push_scheduler(config_.push_policy,
-                                                         *catalog_, new_cut)
-                            : nullptr;
-  if (new_cut > old_cut) {
-    // Widened: the hottest pull items now ride the broadcast. Their queued
-    // requests become push waiters; patience timers stay armed (the client
-    // is still waiting for the same item).
-    note_queue_len();
-    for (std::size_t item = old_cut; item < new_cut; ++item) {
-      auto entry = pull_queue_.extract(static_cast<catalog::ItemId>(item));
-      if (!entry.has_value()) continue;
-      for (const auto& r : entry->pending) push_waiters_[r.item].push_back(r);
-    }
-  } else {
-    // Shrunk back: parked waiters of de-widened items are pull requests
-    // again and re-enter through admission control.
-    for (std::size_t item = new_cut; item < old_cut; ++item) {
-      std::vector<workload::Request> waiters = std::move(push_waiters_[item]);
-      push_waiters_[item].clear();
-      for (const auto& r : waiters) {
-        disarm_patience(r.id);
-        requeue_pull(r);
-      }
-    }
-  }
-  if (!server_busy_ && !down_ && settled_ < to_settle_ && new_cut > 0) {
-    // A pure-pull server asleep on an empty queue now has a broadcast
-    // program to run.
-    server_busy_ = true;
-    serve_next(/*just_did_push=*/true);
-  }
-}
+                           HybridConfig config, LiveExtensions live)
+    : core_(cat, pop, std::move(config), std::move(live)),
+      num_classes_(pop.num_classes()) {}
 
 SimResult HybridServer::run(const workload::Trace& trace) {
-  // Reset run-scoped state so a server can be reused across traces,
-  // including the per-run random engines (bandwidth demands, patience).
-  sim_.reset();
-  demand_eng_ = rng::StreamFactory(config_.seed).stream("bandwidth-demand");
-  patience_eng_ = rng::StreamFactory(config_.seed).stream("patience");
-  if (channel_) {
-    channel_->reset(rng::StreamFactory(config_.seed).stream("fault-channel"));
-  }
-  pull_queue_.clear();
-  patience_.clear();
-  retry_count_.clear();
-  // Observability: created fresh per run (after the queue clear above, so
-  // leftover state never pollutes the new tallies), torn down to nothing
-  // when disabled. The tracer handle is inert without an observer.
-  config_.obs.validate();
-  if (config_.obs.enabled) {
-    obs_ = std::make_unique<obs::RunObserver>(config_.obs,
-                                              population_->num_classes());
-    trace_ = obs_->tracer();
+  // Observability: created fresh per run, torn down to nothing when
+  // disabled.
+  const HybridConfig& config = core_.config();
+  config.obs.validate();
+  if (config.obs.enabled) {
+    obs_ = std::make_unique<obs::RunObserver>(config.obs, num_classes_);
   } else {
     obs_.reset();
-    trace_ = obs::Tracer{};
   }
-  sim_.set_tracer(trace_);
-  pull_queue_.set_counters(obs_ ? obs_->queue_counters() : nullptr);
-  des_scheduled_base_ = sim_.scheduled_events();
-  des_dispatched_base_ = sim_.dispatched_events();
-  des_cancelled_base_ = sim_.cancelled_events();
-  if (cutoff_boost_ > 0) {
-    // Undo a widen-push left over from the previous run.
-    cutoff_boost_ = 0;
-    push_sched_ = config_.cutoff > 0
-                      ? sched::make_push_scheduler(config_.push_policy,
-                                                   *catalog_, config_.cutoff)
-                      : nullptr;
-  }
-  if (push_sched_) push_sched_->reset();
-  for (auto& waiters : push_waiters_) waiters.clear();
-  collector_ =
-      std::make_unique<metrics::ClassCollector>(population_->num_classes());
-  to_settle_ = trace.size();
-  settled_ = 0;
-  push_transmissions_ = 0;
-  pull_transmissions_ = 0;
-  blocked_transmissions_ = 0;
-  corrupted_push_transmissions_ = 0;
-  corrupted_pull_transmissions_ = 0;
-  queue_len_area_ = 0.0;
-  queue_len_last_t_ = 0.0;
-  max_queue_len_ = 0;
-  warmup_time_ = config_.warmup_fraction * trace.span();
-
-  // Resilience state. With crashes disabled and the ladder off nothing
-  // below derives a stream or schedules an event, keeping the fault-free
-  // path bit-identical.
-  const resilience::CrashConfig& crash = config_.resilience.crash;
-  down_ = false;
-  server_epoch_ = 0;
-  inflight_push_.reset();
-  inflight_pull_.reset();
-  downtime_parked_.clear();
-  storm_eng_.reset();
-  latest_snapshot_.clear();
-  crash_count_ = 0;
-  total_downtime_ = 0.0;
-  storm_rerequests_ = 0;
-  largest_storm_ = 0;
-  recovery_latency_ = metrics::Welford{};
-  overload_.reset();
-  blocking_ewma_.assign(population_->num_classes(), 0.0);
-  crash_active_ = crash.enabled && crash.rate > 0.0;
-  if (crash_active_) {
-    storm_eng_ = rng::StreamFactory(config_.seed).stream("crash-storm");
-    snapshot_fingerprint_ = rng::SplitMix64::mix(
-        config_.seed ^
-        rng::SplitMix64::mix((static_cast<std::uint64_t>(catalog_->size())
-                              << 32) ^
-                             population_->num_classes() ^
-                             (static_cast<std::uint64_t>(config_.cutoff)
-                              << 16)));
-    const resilience::CrashSchedule schedule = resilience::CrashSchedule::
-        poisson(crash, trace.span(),
-                rng::StreamFactory(config_.seed).stream("crash-schedule"));
-    for (const double t : schedule.times()) {
-      sim_.schedule_at(t, [this]() { on_crash(); });
-    }
-    if (crash.recovery == resilience::RecoveryMode::kWarm &&
-        !schedule.empty()) {
-      sim_.schedule_at(crash.snapshot_interval, [this]() { take_snapshot(); });
-    }
-  }
-  if (config_.resilience.overload.enabled) {
-    sim_.schedule_at(config_.resilience.overload.eval_interval,
-                     [this]() { evaluate_overload(); });
-  }
-
+  core_.begin(trace.size(), trace.span(), obs_.get(), nullptr,
+              /*track_queue_depth=*/false);
   // The trace streams through the kernel; its arrival ids are reserved
-  // here, after the timers above and before the first serve_next — the
-  // numbering serve::LiveServer mirrors.
-  sim_.attach_arrivals(
+  // here, after the core's timers and before the first serving decision.
+  core_.sim().attach_arrivals(
       trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
-      [this, &trace](std::size_t i) { on_arrival(trace[i]); });
-  server_busy_ = true;
-  if (config_.cutoff == 0) {
-    server_busy_ = false;  // pure pull: sleep until the first arrival
-  } else {
-    sim_.schedule_at(0.0, [this]() { serve_next(/*just_did_push=*/true); });
-  }
-  sim_.run();
-  note_queue_len();
-  if (obs_) {
-    obs_->counters.des_scheduled =
-        sim_.scheduled_events() - des_scheduled_base_;
-    obs_->counters.des_dispatched =
-        sim_.dispatched_events() - des_dispatched_base_;
-    obs_->counters.des_cancelled =
-        sim_.cancelled_events() - des_cancelled_base_;
-  }
-
-  SimResult result;
-  result.per_class = collector_->all();
-  result.end_time = sim_.now();
-  result.push_transmissions = push_transmissions_;
-  result.pull_transmissions = pull_transmissions_;
-  result.blocked_transmissions = blocked_transmissions_;
-  result.corrupted_push_transmissions = corrupted_push_transmissions_;
-  result.corrupted_pull_transmissions = corrupted_pull_transmissions_;
-  result.mean_pull_queue_len =
-      sim_.now() > 0.0 ? queue_len_area_ / sim_.now() : 0.0;
-  result.max_pull_queue_len = max_queue_len_;
-  result.crashes = crash_count_;
-  result.total_downtime = total_downtime_;
-  result.storm_rerequests = storm_rerequests_;
-  result.largest_storm = largest_storm_;
-  result.recovery_latency = recovery_latency_;
-  // parity:begin(overload-transition-export, result=report)
-  sched_rules::export_overload(result, overload_);
-  // parity:end
-  result.event_order_violations = sim_.order_violations();
-  return result;
+      [this, &trace](std::size_t i) { core_.on_arrival(trace[i]); });
+  core_.start();
+  core_.run();
+  core_.finish();
+  return core_.result();
 }
 
 }  // namespace pushpull::core

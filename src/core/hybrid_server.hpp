@@ -1,86 +1,40 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "catalog/catalog.hpp"
-#include "core/bandwidth_manager.hpp"
 #include "core/config.hpp"
-#include "core/pull_queue.hpp"
 #include "core/result.hpp"
-#include "des/simulator.hpp"
-#include "fault/channel.hpp"
-#include "metrics/class_stats.hpp"
-#include "metrics/welford.hpp"
+#include "core/server_core.hpp"
 #include "obs/observer.hpp"
-#include "resilience/overload.hpp"
-#include "rng/xoshiro256ss.hpp"
-#include "sched/pull/policy.hpp"
-#include "sched/push/push_scheduler.hpp"
 #include "workload/population.hpp"
 #include "workload/trace.hpp"
 
 namespace pushpull::core {
 
-/// The paper's hybrid scheduling server (Fig. 1 pseudo-code), simulated
-/// with discrete events.
-///
-/// Behavior per the paper, §3:
-///  * items [0, K) are broadcast cyclically by the push scheduler; client
-///    requests for them are ignored by the queue (the client simply waits
-///    for the item to come around) but tracked here to measure their delay;
-///  * requests for items [K, D) enter the pull queue, aggregated per item
-///    with arrival time, request count R_i and summed client priority Q_i;
-///  * after every push transmission, if the pull queue is non-empty the
-///    entry with the maximum importance factor is extracted and transmitted;
-///  * a pull transmission first draws a Poisson bandwidth demand and asks
-///    the service class's bandwidth pool to admit it; on rejection the item
-///    and all its pending requests are dropped (blocking);
-///  * delivery is at transmission *end*, and only requests that arrived
-///    before the transmission started are satisfied by it.
-///
-/// On top of the paper's model the server carries an optional
-/// fault-injection layer (config.fault):
-///  * every transmission end samples a Gilbert–Elliott burst-error channel;
-///    a corrupted *push* item is simply caught on its next broadcast cycle,
-///    while a corrupted *pull* item triggers a client re-request after an
-///    exponential backoff, bounded by `fault.retry.max_retries` attempts
-///    (then the request counts as lost);
-///  * a bounded pull queue (`fault.queue_capacity`) sheds requests under
-///    overload, by drop-tail or by evicting the lowest-priority client.
-///
-/// And an optional resilience layer (config.resilience):
-///  * a seeded crash schedule kills the server at simulated instants; an
-///    in-flight transmission is voided, the pull queue's server-side state
-///    is wiped (cold) or restored from the latest periodic snapshot (warm),
-///    and the clients whose work was lost re-request in a storm after the
-///    recovery plus a per-client timeout/jitter. Clients parked for push
-///    items simply keep waiting (their state is client-side); a cold
-///    restart additionally forgets the broadcast-cycle position;
-///  * an overload degradation ladder watches pull-queue occupancy and the
-///    per-class blocking EWMA and escalates normal → shed-low-priority →
-///    widen-push → admission-control → brownout with hysteresis, logging
-///    every move. Widening temporarily grows the push cutoff, admission
-///    control rejects the least important class(es) at the uplink.
+/// The paper's hybrid scheduling server simulated with discrete events: the
+/// DES driver of core::ServerCore (which documents the model and its
+/// layers). run() streams a trace into the core's kernel and runs it to
+/// the end.
 ///
 /// The server is deterministic given (catalog, population, config, trace);
-/// the fault channel, crash schedule and storm jitter each draw from their
-/// own named stream, so enabling any of them never perturbs the
-/// bandwidth-demand or patience draws — and with the whole resilience layer
-/// disabled the output is bit-identical to builds that predate it.
+/// with every optional layer disabled the output is bit-identical to builds
+/// that predate the layers. The LiveExtensions (deadline scales and spike,
+/// hedging, drain) are what `pushpull replay` passes to re-run a recorded
+/// live run through this driver bit for bit.
 class HybridServer {
  public:
   HybridServer(const catalog::Catalog& cat,
-               const workload::ClientPopulation& pop, HybridConfig config);
+               const workload::ClientPopulation& pop, HybridConfig config,
+               LiveExtensions live = {});
 
   /// Simulates the full trace and runs until every request is delivered or
   /// blocked, then reports per-class statistics.
   [[nodiscard]] SimResult run(const workload::Trace& trace);
 
-  [[nodiscard]] const HybridConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const HybridConfig& config() const noexcept {
+    return core_.config();
+  }
 
   /// Observability report of the last run(): trace window, counters and
   /// histograms. Empty (enabled=false) unless config().obs.enabled. Valid
@@ -90,172 +44,10 @@ class HybridServer {
   }
 
  private:
-  enum class Phase { kPush, kPull };
-
-  void on_arrival(const workload::Request& request);
-  void serve_next(bool just_did_push);
-  void start_push(double now);
-  void start_pull(double now);
-  void deliver(const workload::Request& request, bool via_push);
-  void settle_one();
-  void note_queue_len();
-  void arm_patience(const workload::Request& request);
-  void disarm_patience(workload::RequestId request);
-  void on_patience_expired(const workload::Request& request);
-
-  /// Samples the fault channel for one finished transmission; always false
-  /// when fault injection is disabled (and consumes no randomness).
-  [[nodiscard]] bool transmission_corrupted();
-  /// Handles a corrupted pull transmission: schedules bounded-backoff
-  /// re-requests and settles requests that exhausted their retries.
-  void on_pull_corrupted(const sched::PullEntry& entry);
-  /// Re-enters a request into the pull queue after its backoff, waking the
-  /// server if it went idle in the meantime.
-  void requeue_pull(const workload::Request& request);
-  /// Admission control of the bounded pull queue. Returns true when
-  /// `request` may enter (possibly after evicting a lower-priority victim);
-  /// false when it was shed — in that case the request is already settled.
-  [[nodiscard]] bool admit_pull(const workload::Request& request);
-  /// Settles a request removed by admission control.
-  void shed_request(const workload::Request& request);
-
-  // --- resilience layer ---------------------------------------------------
-
-  /// Push cutoff currently in force: the configured K plus the ladder's
-  /// widen-push boost, clamped to the catalog.
-  [[nodiscard]] std::size_t effective_cutoff() const noexcept;
-  /// Pull-queue capacity in force (hard fault cap, or the ladder's soft cap
-  /// at shed-low-priority and above; 0 = unbounded).
-  [[nodiscard]] std::size_t effective_queue_capacity() const noexcept;
-  /// Shed policy in force (the ladder forces drop-lowest-priority at
-  /// shed-low-priority and above).
-  [[nodiscard]] fault::ShedPolicy effective_shed_policy() const noexcept;
-  /// True when the ladder's admission control refuses this class.
-  [[nodiscard]] bool uplink_rejected(workload::ClassId cls) const noexcept;
-  /// The ladder's configuration block (the live engine keeps it at a
-  /// different config path; this accessor is what lets the parity regions
-  /// stay token-identical).
-  [[nodiscard]] const resilience::OverloadConfig& overload_config()
-      const noexcept {
-    return config_.resilience.overload;
-  }
-
-  /// The server dies: void the in-flight transmission, wipe (cold) or
-  /// restore (warm) the queue, storm the lost clients, schedule recovery.
-  void on_crash();
-  void on_recovered();
-  /// One client whose pending work a crash wiped: re-requests at
-  /// `recovery + rerequest_timeout + U(0, storm_spread)`.
-  void storm_rerequest(const workload::Request& request, double crash_time,
-                       double recovery_time);
-  /// Periodic warm-recovery snapshot of the pull queue (versioned codec).
-  void take_snapshot();
-  /// Periodic ladder evaluation; applies level actions on transitions.
-  void evaluate_overload();
-  void apply_overload_level(resilience::OverloadLevel level);
-  /// Rebuilds the push scheduler for a new widen-push boost and migrates
-  /// queued/parked requests across the moved cutoff.
-  void apply_cutoff_boost(std::size_t boost);
-
-  [[nodiscard]] bool measured(const workload::Request& request) const noexcept {
-    return request.arrival >= warmup_time_;
-  }
-
-  const catalog::Catalog* catalog_;
-  const workload::ClientPopulation* population_;
-  HybridConfig config_;
-
-  des::Simulator sim_;
-  PullQueue pull_queue_;
-  std::unique_ptr<sched::PushScheduler> push_sched_;
-  std::unique_ptr<sched::PullPolicy> pull_policy_;
-  BandwidthManager bandwidth_;
-  rng::Xoshiro256ss demand_eng_;
-  rng::Xoshiro256ss patience_eng_;
-  // Present iff config_.fault.enabled; samples one state transition and one
-  // corruption draw per downlink transmission.
-  std::optional<fault::GilbertElliottChannel> channel_;
-
-  std::vector<std::vector<workload::Request>> push_waiters_;
-  // Pending abandonment timers, keyed by request id; a timer is disarmed
-  // the moment its request is committed to a transmission (or dropped).
-  std::unordered_map<workload::RequestId, des::EventId> patience_;
-  // Re-requests already issued per pull request, keyed by request id; an
-  // entry exists only while the request has suffered >= 1 corruption.
-  std::unordered_map<workload::RequestId, std::uint32_t> retry_count_;
-  std::unique_ptr<metrics::ClassCollector> collector_;
-
-  // Run-scoped state.
-  des::SimTime warmup_time_ = 0.0;
-  std::uint64_t to_settle_ = 0;
-  std::uint64_t settled_ = 0;
-  bool server_busy_ = false;
-  std::uint64_t push_transmissions_ = 0;
-  std::uint64_t pull_transmissions_ = 0;
-  std::uint64_t blocked_transmissions_ = 0;
-  std::uint64_t corrupted_push_transmissions_ = 0;
-  std::uint64_t corrupted_pull_transmissions_ = 0;
-  // Time-weighted pull-queue-length integral (for E[L_pull]).
-  double queue_len_area_ = 0.0;
-  des::SimTime queue_len_last_t_ = 0.0;
-  std::size_t max_queue_len_ = 0;
-
-  // --- resilience state ---------------------------------------------------
-  // True while a non-empty crash schedule is in force this run; in-flight
-  // transmissions are tracked (and the storm engine derived) only then, so
-  // the fault-free path stays untouched.
-  bool crash_active_ = false;
-  bool down_ = false;
-  // Bumped by every crash; a transmission-end event whose captured epoch is
-  // stale was voided by a crash and must not deliver.
-  std::uint64_t server_epoch_ = 0;
-  // The transmission on air, kept here so a crash can unwind it. At most
-  // one exists at a time (the downlink is serial).
-  struct InFlightPush {
-    catalog::ItemId item = 0;
-    std::vector<workload::Request> catching;
-  };
-  struct InFlightPull {
-    sched::PullEntry entry;
-    workload::ClassId cls = 0;
-    double demand = 0.0;
-  };
-  std::optional<InFlightPush> inflight_push_;
-  std::optional<InFlightPull> inflight_pull_;
-  // Pull work that arrived (or matured from a retry backoff) while the
-  // server was dark; drained at recovery.
-  std::vector<workload::Request> downtime_parked_;
-  // Storm jitter; derived iff crash_active_ (own named stream).
-  std::optional<rng::Xoshiro256ss> storm_eng_;
-  std::uint64_t snapshot_fingerprint_ = 0;
-  // Latest encoded warm-recovery snapshot ("" = none taken yet).
-  std::string latest_snapshot_;
-  std::uint64_t crash_count_ = 0;
-  double total_downtime_ = 0.0;
-  std::uint64_t storm_rerequests_ = 0;
-  std::uint64_t largest_storm_ = 0;
-  metrics::Welford recovery_latency_;
-
-  // --- observability ------------------------------------------------------
-  // Present iff config_.obs.enabled for the current run. Strictly
-  // write-only from the simulation's perspective: nothing below ever reads
-  // observer state, so traced and untraced runs are bit-identical.
+  ServerCore core_;
+  std::size_t num_classes_;
+  // Created fresh per run iff config().obs.enabled.
   std::unique_ptr<obs::RunObserver> obs_;
-  // Inert (null sink) when obs_ is absent; every emission then costs one
-  // branch.
-  obs::Tracer trace_;
-  // des kernel counter baselines at run start (the kernel keeps lifetime
-  // totals; the report wants this run's deltas).
-  std::uint64_t des_scheduled_base_ = 0;
-  std::uint64_t des_dispatched_base_ = 0;
-  std::uint64_t des_cancelled_base_ = 0;
-
-  resilience::OverloadController overload_;
-  // Per-class blocking EWMA (ladder input); updated per pull service
-  // attempt, only while the ladder is enabled.
-  std::vector<double> blocking_ewma_;
-  // Extra push-cutoff items granted by widen-push (0 at normal).
-  std::size_t cutoff_boost_ = 0;
 };
 
 }  // namespace pushpull::core

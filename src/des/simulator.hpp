@@ -113,6 +113,13 @@ class Simulator {
     return ok;
   }
 
+  /// Time of the next event to dispatch (stream arrival or pending event);
+  /// kForever when idle.
+  [[nodiscard]] SimTime next_time() const {
+    if (arrival_next()) return stream_.head_time;
+    return queue_.empty() ? kForever : queue_.next_time();
+  }
+
   /// Dispatches the next event, advancing the clock to it. Returns false if
   /// no event is pending.
   bool step();

@@ -9,18 +9,6 @@
 
 namespace pushpull::serve {
 
-std::string ConservationLedger::render_json() const {
-  std::string out = "{\"injected\":" + std::to_string(injected) +
-                    ",\"delivered\":" + std::to_string(delivered) +
-                    ",\"timed_out\":" + std::to_string(timed_out) +
-                    ",\"rejected\":" + std::to_string(rejected) +
-                    ",\"shed\":" + std::to_string(shed) +
-                    ",\"lost\":" + std::to_string(lost) +
-                    ",\"in_flight_at_drain\":" +
-                    std::to_string(in_flight_at_drain) + "}";
-  return out;
-}
-
 std::string frame_record(std::string_view payload) {
   if (payload.find('\n') != std::string_view::npos) {
     throw std::invalid_argument(

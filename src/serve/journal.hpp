@@ -6,36 +6,12 @@
 #include <string_view>
 #include <vector>
 
+#include "core/result.hpp"
+
 namespace pushpull::serve {
 
-/// The live-path conservation ledger (DESIGN §10): every request injected
-/// into the server must be accounted for by exactly one terminal outcome
-/// — or still be in flight when a drain cut the run short. The identity
-///
-///   injected = delivered + timed_out + rejected + shed + lost
-///              + in_flight_at_drain
-///
-/// is machine-checked after every live run (LiveServer throws on any
-/// imbalance) and sealed into the journal footer so a recovered run can be
-/// audited offline.
-struct ConservationLedger {
-  std::uint64_t injected = 0;           // arrivals dispatched into the server
-  std::uint64_t delivered = 0;          // served (push or pull)
-  std::uint64_t timed_out = 0;          // per-request deadline expired
-  std::uint64_t rejected = 0;           // refused at the uplink by the ladder
-  std::uint64_t shed = 0;               // evicted/refused by the bounded queue
-  std::uint64_t lost = 0;               // exhausted their retry budget
-  std::uint64_t in_flight_at_drain = 0; // still waiting when the drain sealed
-
-  [[nodiscard]] bool balanced() const noexcept {
-    return injected == delivered + timed_out + rejected + shed + lost +
-                           in_flight_at_drain;
-  }
-
-  /// The ledger as a JSON object ({"injected":..,...}), with fields in
-  /// fixed declaration order — byte-stable for identical ledgers.
-  [[nodiscard]] std::string render_json() const;
-};
+/// The conservation ledger the core keeps and the journal footer seals.
+using ConservationLedger = core::ConservationLedger;
 
 /// --- sv2 journal framing ---------------------------------------------------
 ///

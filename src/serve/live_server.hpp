@@ -2,24 +2,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <queue>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/catalog.hpp"
-#include "core/pull_queue.hpp"
-#include "fault/channel.hpp"
+#include "core/server_core.hpp"
 #include "metrics/class_stats.hpp"
 #include "obs/observer.hpp"
-#include "obs/trace.hpp"
 #include "resilience/overload.hpp"
-#include "rng/xoshiro256ss.hpp"
-#include "sched/pull/policy.hpp"
-#include "sched/push/push_scheduler.hpp"
 #include "serve/clock.hpp"
 #include "serve/completion_queue.hpp"
 #include "serve/journal.hpp"
@@ -29,12 +19,6 @@
 #include "workload/population.hpp"
 
 namespace pushpull::serve {
-
-/// Bit marking a synthetic hedged duplicate's request id. Hedge duplicates
-/// live only inside the pull queue: they boost their item entry's
-/// aggregate importance, are absorbed silently at delivery, and never
-/// appear in the journal or the conservation ledger.
-inline constexpr workload::RequestId kHedgeIdBit = 1ull << 63;
 
 /// What one live run produced. Every field is a pure function of the
 /// processed event sequence, so an accelerated run's rendered report is
@@ -94,45 +78,27 @@ struct ServeReport {
 /// bench/serve_qps, bench/serve_chaos and the reproducibility tests.
 [[nodiscard]] std::string render_serve_report(const ServeReport& report);
 
-/// core::HybridServer's scheduling rules, driven by a completion-queue
-/// event loop instead of the DES kernel.
+/// The live driver of core::ServerCore: the same state machine the DES
+/// runs, fed by a load plan or by pacer threads instead of a trace, and
+/// reporting what a serving operator reads (achieved QPS, queue-depth
+/// distribution, completion-queue telemetry, the conservation ledger).
+/// Every timer and transmission end is an event of the core's kernel, so an
+/// accelerated run and the DES replay of its own journal agree on every
+/// statistic bit for bit, whatever live mechanisms are on.
 ///
-/// The scheduling mirror is exact for the deterministic subset ServeConfig
-/// exposes: strict push/pull alternation (one pull opportunity after every
-/// push), items [0, cutoff) broadcast cyclically with requests parked until
-/// the item comes around, pull requests aggregated per item and extracted
-/// by the configured policy, only requests present at transmission *start*
-/// catching it, delivery at transmission *end*, a pure-pull server idling
-/// on an empty queue until an arrival wakes it, and the same
-/// time-weighted queue-length integral feeding the Eq. 6 policy's
-/// E[L_pull]. Even the Poisson bandwidth-demand stream is consumed
-/// identically, so an accelerated run and the DES replay of its own
-/// recorded trace agree on every per-class statistic bit-for-bit.
-///
-/// The live failure model (DESIGN §10) extends the mirror with the DES
-/// ordering discipline intact: every schedulable action — arrival,
-/// transmission end, deadline expiry, retry requeue, ladder evaluation,
-/// hedge — carries a (time, seq) pair assigned exactly where the DES
-/// kernel would assign an event id, and the loop always dispatches the
-/// minimum. Deadlines mirror the DES impatience model draw for draw (the
-/// differential test in tests/test_serve_robustness.cpp), corruption and
-/// retry mirror the fault layer, and the overload ladder mirrors
-/// resilience::OverloadController wiring. Timer cancellation is lazy
-/// (stale entries are skipped at the heap top), matching des::EventQueue.
-///
-/// Both run modes dispatch through the same CompletionQueue path; they
-/// differ only in who produces events and how time advances:
-///  * run_accelerated — single-threaded; the loop itself posts each planned
-///    arrival / slot completion and advances a VirtualClock, so the run is
-///    a pure function of the seed;
+/// Both run modes feed the core through the CompletionQueue; they differ
+/// only in who produces events and how time advances:
+///  * run_accelerated — single-threaded; the driver's plan streams through
+///    the kernel as its arrival stream, each arrival and slot end passing
+///    through the queue, so the run is a pure function of the seed;
 ///  * run_realtime — pacer threads post wall-stamped arrivals; the loop
-///    completes slots and fires timers as the wall clock passes their
-///    logical times. Arrival stamps are observed (skew is real and
-///    recorded); slot ends chain logically so airtime accounting stays
-///    exact. SIGTERM (via set_drain_flag) or drain_after triggers the
-///    graceful drain: admission stops, the pull side flushes, the journal
-///    seals with the conservation ledger.
-class LiveServer {
+///    advances the kernel to the wall clock (run_until), completing slots
+///    and firing timers as it passes their logical times. Arrival stamps
+///    are observed (skew is real and recorded); slot ends chain logically
+///    so airtime accounting stays exact. SIGTERM (via set_drain_flag) or
+///    drain_after triggers the graceful drain: admission stops, the pull
+///    side flushes, the journal seals with the conservation ledger.
+class LiveServer final : private core::DecisionSink {
  public:
   LiveServer(const catalog::Catalog& cat,
              const workload::ClientPopulation& pop, ServeConfig config);
@@ -150,9 +116,11 @@ class LiveServer {
                                          std::uint64_t planned,
                                          TraceRecorder* recorder);
 
-  /// Optional trace hook for the live-only categories (timeout / retry /
-  /// drain). A default-constructed tracer is inert.
-  void set_tracer(const obs::Tracer& tracer) { tracer_ = tracer; }
+  /// Observes the following runs (null = off): the core's trace and
+  /// counters, the same vocabulary a DES run emits.
+  void set_observer(obs::RunObserver* observer) noexcept {
+    observer_ = observer;
+  }
 
   /// Installs the external drain request flag (SIGTERM handler target).
   /// Polled by run_realtime; null disables.
@@ -161,141 +129,28 @@ class LiveServer {
   }
 
  private:
-  /// One transmission on air. `pending` is the committed audience (push:
-  /// the waiters caught at start; pull: the extracted entry's requests).
-  struct InFlight {
-    bool push = true;
-    catalog::ItemId item = 0;
-    double end = 0.0;
-    std::uint64_t end_seq = 0;  // the DES id of the transmission-end event
-    std::vector<workload::Request> pending;
-  };
+  // core::DecisionSink: decisions go to the journal; in accelerated mode
+  // each slot end also passes through the completion queue.
+  void record_request(const workload::Request& request,
+                      double observed_time) override;
+  void record_decision(bool push, double time, catalog::ItemId item,
+                       std::size_t delivered) override;
+  void record_ladder(double time, int from, int to) override;
+  void record_drain(double time, std::uint64_t skipped) override;
+  void on_slot_end(double time) override;
 
-  enum class TimerKind : std::uint8_t {
-    kDeadline,    ///< per-request deadline expiry (DES impatience mirror)
-    kRetry,       ///< backed-off re-request after a corrupted pull
-    kLadderEval,  ///< periodic overload-controller evaluation
-    kHedge,       ///< hedged re-request check for a still-queued request
-  };
+  /// Machine-checks the conservation identity (throws std::logic_error on
+  /// any imbalance), seals the journal and builds the report.
+  [[nodiscard]] ServeReport finish(const CompletionQueue& queue);
 
-  struct Timer {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-    TimerKind kind = TimerKind::kDeadline;
-    workload::Request request{};
-  };
-
-  struct TimerAfter {
-    bool operator()(const Timer& a, const Timer& b) const noexcept {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-
-  void reset_run();
-  void dispatch(const Completion& c);
-  void handle_arrival(workload::Request request, double observed);
-  void start_next(bool just_did_push, double now);
-  void start_push(double now);
-  void start_pull(double now);
-  void complete_slot();
-  void deliver(const workload::Request& r, bool via_push, double now);
-  void note_queue_len(double now);
-  void settle(double now);
-
-  // --- failure-model mirrors ----------------------------------------------
-  void arm_deadline(const workload::Request& request, double now);
-  void disarm_deadline(workload::RequestId id);
-  void on_deadline_expired(const workload::Request& request, double now);
-  void arm_hedge(const workload::Request& request, double now);
-  void on_hedge_fire(const workload::Request& request, double now);
-  void on_ladder_eval(double now);
-  void apply_overload_level(resilience::OverloadLevel level, double now);
-  void apply_cutoff_boost(std::size_t boost, double now);
-  [[nodiscard]] bool admit_pull(const workload::Request& request, double now);
-  void shed_one(const workload::Request& request, double now);
-  void requeue_pull(const workload::Request& request, double now);
-  void remove_hedge_dup(const workload::Request& primary);
-  [[nodiscard]] std::size_t effective_cutoff() const noexcept;
-  [[nodiscard]] std::size_t effective_queue_capacity() const noexcept;
-  [[nodiscard]] fault::ShedPolicy effective_shed_policy() const noexcept;
-  [[nodiscard]] bool uplink_rejected(workload::ClassId cls) const noexcept;
-  /// The ladder's configuration block (the DES engine keeps it at a
-  /// different config path; this accessor is what lets the parity regions
-  /// stay token-identical).
-  [[nodiscard]] const resilience::OverloadConfig& overload_config()
-      const noexcept {
-    return config_.overload;
-  }
-
-  // --- event plumbing -----------------------------------------------------
-  /// Top of the timer heap with stale (lazily cancelled) entries skipped;
-  /// nullptr when no live timer is pending.
-  [[nodiscard]] const Timer* peek_timer();
-  void fire_timer(const Timer& timer);
-  /// Fires, in (time, seq) order, every due timer and slot completion up to
-  /// `now` (the realtime advance path).
-  void advance_to(double now);
-  void engage_drain(double now, std::uint64_t skipped);
-  [[nodiscard]] bool pull_side_drained() const noexcept;
-  /// Requests injected but not yet settled, counted structurally (push
-  /// park + real queued requests + committed in-flight + retry backoffs).
-  [[nodiscard]] std::uint64_t structural_in_flight() const noexcept;
-  /// Builds the ledger and machine-checks the conservation identity
-  /// (throws std::logic_error on any imbalance).
-  void finalize_ledger();
-  [[nodiscard]] ServeReport make_report(const CompletionQueue& queue) const;
-
-  const catalog::Catalog* catalog_;
-  const workload::ClientPopulation* population_;
   ServeConfig config_;
-
-  core::PullQueue pull_queue_;
-  std::unique_ptr<sched::PushScheduler> push_sched_;
-  std::unique_ptr<sched::PullPolicy> pull_policy_;
-  rng::Xoshiro256ss demand_eng_;
-  rng::Xoshiro256ss patience_eng_;
-  std::optional<fault::GilbertElliottChannel> channel_;
-  std::vector<std::vector<workload::Request>> push_waiters_;
-  std::unique_ptr<metrics::ClassCollector> collector_;
-  std::optional<InFlight> inflight_;
+  core::ServerCore core_;
   TraceRecorder* recorder_ = nullptr;
-  obs::Tracer tracer_;
+  // The accelerated run's queue, which slot ends pass through; null in
+  // realtime, where slots complete on the logical timeline.
+  CompletionQueue* slot_queue_ = nullptr;
+  obs::RunObserver* observer_ = nullptr;
   const std::atomic<bool>* drain_flag_ = nullptr;
-
-  // Event-ordering mirror of the DES id counter.
-  std::uint64_t seq_ = 0;
-  std::uint64_t next_arrival_seq_ = 0;
-  std::priority_queue<Timer, std::vector<Timer>, TimerAfter> timers_;
-  std::unordered_map<workload::RequestId, std::uint64_t> deadline_seq_;
-  std::unordered_map<workload::RequestId, std::uint64_t> hedge_seq_;
-  std::unordered_set<workload::RequestId> hedged_;  // primaries with live dup
-  std::unordered_set<workload::RequestId> queued_;  // real ids in pull queue
-  std::unordered_map<workload::RequestId, std::uint32_t> retry_count_;
-  std::uint64_t retry_pending_ = 0;  // kRetry timers not yet fired
-
-  resilience::OverloadController overload_;
-  std::vector<double> blocking_ewma_;
-  std::size_t cutoff_boost_ = 0;
-
-  bool draining_ = false;
-  double drain_time_ = 0.0;
-  std::uint64_t skipped_arrivals_ = 0;
-  std::uint64_t hedges_posted_ = 0;
-  std::uint64_t hedges_absorbed_ = 0;
-  ConservationLedger ledger_;
-
-  std::uint64_t to_settle_ = 0;
-  std::uint64_t settled_ = 0;
-  std::uint64_t arrivals_ = 0;
-  std::uint64_t push_transmissions_ = 0;
-  std::uint64_t pull_transmissions_ = 0;
-  std::uint64_t corrupted_push_transmissions_ = 0;
-  std::uint64_t corrupted_pull_transmissions_ = 0;
-  double queue_len_area_ = 0.0;
-  double queue_len_last_t_ = 0.0;
-  std::size_t max_queue_len_ = 0;
-  double end_time_ = 0.0;
-  obs::QuantileTrack queue_depth_;
 };
 
 }  // namespace pushpull::serve

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/server_core.hpp"
 #include "serve/journal.hpp"
 #include "serve/serve_config.hpp"
 #include "workload/request.hpp"
@@ -36,26 +37,28 @@ namespace pushpull::serve {
 inline constexpr std::string_view kServeTraceSchema = "sv1";
 inline constexpr std::string_view kServeJournalSchema = "sv2";
 
-/// Writes an sv2 journal. Single-writer by design: only the server thread
-/// records (arrivals at dispatch, decisions at transmission start), so
-/// records never interleave. When constructed over a JournalFile the
-/// recorder fsyncs every `config.journal_sync_every` records (0 = only at
-/// seal); over a plain ostream it just writes (tests record into strings).
-class TraceRecorder {
+/// Writes an sv2 journal: the core::DecisionSink the live server hands its
+/// core. Single-writer by design: only the server thread records (arrivals
+/// at dispatch, decisions at transmission start), so records never
+/// interleave. When constructed over a JournalFile the recorder fsyncs
+/// every `config.journal_sync_every` records (0 = only at seal); over a
+/// plain ostream it just writes (tests record into strings).
+class TraceRecorder final : public core::DecisionSink {
  public:
   /// Writes the header record immediately.
   TraceRecorder(std::ostream& out, const ServeConfig& config);
   /// Same, with fsync batching against the file.
   TraceRecorder(JournalFile& file, const ServeConfig& config);
 
-  void record_request(const workload::Request& request, double observed_time);
+  void record_request(const workload::Request& request,
+                      double observed_time) override;
   void record_decision(bool push, double time, catalog::ItemId item,
-                       std::size_t delivered);
+                       std::size_t delivered) override;
   /// Stamps an overload-ladder transition into the decision log.
-  void record_ladder(double time, int from, int to);
+  void record_ladder(double time, int from, int to) override;
   /// Stamps drain engagement (admission stopped; `skipped` planned
   /// arrivals were never injected).
-  void record_drain(double time, std::uint64_t skipped);
+  void record_drain(double time, std::uint64_t skipped) override;
 
   /// Seals the journal: writes the footer with the conservation ledger and
   /// syncs. Idempotent.
@@ -64,7 +67,7 @@ class TraceRecorder {
   /// Seals with a zero ledger (legacy path / destructor safety net).
   void finish();
 
-  ~TraceRecorder();
+  ~TraceRecorder() override;
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 

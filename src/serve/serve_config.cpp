@@ -5,7 +5,6 @@
 #include <string>
 
 #include "catalog/length_model.hpp"
-#include "metrics/float_compare.hpp"
 
 namespace pushpull::serve {
 
@@ -100,16 +99,6 @@ bool ServeConfig::robust() const noexcept {
   return mean_deadline > 0.0 || !deadline_scale.empty() ||
          deadline_spike_enabled() || fault.active() || overload.enabled ||
          hedge_after > 0.0 || drain_after > 0.0;
-}
-
-bool ServeConfig::des_mappable() const noexcept {
-  if (fault.active() || overload.enabled) return false;
-  if (hedge_after > 0.0 || drain_after > 0.0) return false;
-  if (deadline_spike_enabled()) return false;
-  for (const double s : deadline_scale) {
-    if (!metrics::exactly_equal(s, 1.0)) return false;
-  }
-  return true;
 }
 
 core::HybridConfig ServeConfig::hybrid() const {

@@ -7,7 +7,6 @@
 #include "catalog/catalog.hpp"
 #include "core/config.hpp"
 #include "fault/fault_config.hpp"
-#include "metrics/float_compare.hpp"
 #include "resilience/overload.hpp"
 #include "sched/pull/policy.hpp"
 #include "sched/push/push_scheduler.hpp"
@@ -18,19 +17,16 @@ namespace pushpull::serve {
 /// Everything one live serving run needs: the workload universe (the §5.1
 /// scenario parameters, so the live server and the DES speak the same
 /// catalog), the scheduler knobs, the serving-specific execution knobs,
-/// and the live failure model (DESIGN §10).
+/// and the live failure model (DESIGN §10). The live extensions of the
+/// scheduler — per-class deadline scales, the deadline spike, hedging and
+/// drain — are the inherited core::LiveExtensions fields.
 ///
 /// Robustness defaults are inert: with deadlines, faults, the ladder,
-/// hedging and drain all off, the live loop derives no extra streams and
-/// schedules no timers, so an accelerated run's per-class statistics match
-/// its own DES replay bit-for-bit (the differential test in
-/// tests/test_serve.cpp). With only `mean_deadline` enabled the run is
-/// still DES-mappable — deadlines mirror the DES impatience model draw
-/// for draw. Per-class deadline scales, the deadline spike, faults, the
-/// ladder and hedging are live-engine territory: `pushpull replay` then
-/// re-runs the trace through the deterministic accelerated LiveServer
-/// instead of the DES (see des_mappable()).
-struct ServeConfig {
+/// hedging and drain all off, the core derives no extra streams and
+/// schedules no timers. Whatever is enabled, a recorded run replays
+/// through the DES driver bit for bit: hybrid() and the LiveExtensions
+/// are exactly what the live server itself runs core::ServerCore with.
+struct ServeConfig : core::LiveExtensions {
   // --- workload universe (mirrors exp::Scenario) --------------------------
   std::size_t num_items = 100;
   double theta = 0.60;
@@ -45,9 +41,9 @@ struct ServeConfig {
   double alpha = 0.5;
   sched::PullPolicyKind pull_policy = sched::PullPolicyKind::kImportance;
   sched::PushPolicyKind push_policy = sched::PushPolicyKind::kFlat;
-  /// Mirrored from HybridConfig so replay consumes the identical
-  /// bandwidth-demand stream (the live path never blocks — the channel is
-  /// unconstrained — but the draw itself must happen to keep RNG parity).
+  /// Mean Poisson bandwidth demand of a pull transmission. The live
+  /// channel is unconstrained and never blocks, but the draw is still
+  /// taken, as in the DES.
   double mean_bandwidth_demand = 1.0;
 
   // --- serving ------------------------------------------------------------
@@ -77,15 +73,6 @@ struct ServeConfig {
   /// time exactly as the DES impatience model does). <= 0 disables
   /// deadlines: no stream is derived and no timer is armed.
   double mean_deadline = 0.0;
-  /// Per-class multipliers on each deadline draw; empty = all 1.0. Any
-  /// factor != 1 breaks the DES impatience mapping (live-engine replay).
-  std::vector<double> deadline_scale;
-  /// Deadline-tightening spike (chaos): draws armed inside
-  /// [spike_start, spike_start + spike_duration) are multiplied by
-  /// `deadline_spike_factor`. factor == 1 or duration <= 0 disables.
-  double deadline_spike_factor = 1.0;
-  double deadline_spike_start = 0.0;
-  double deadline_spike_duration = 0.0;
   /// Burst-error downlink, bounded pull queue with shedding, and the
   /// bounded-exponential-backoff retry policy — the same fault::FaultConfig
   /// the DES consumes, applied to the live loop. Defaults are inert.
@@ -94,16 +81,6 @@ struct ServeConfig {
   /// admission-control → brownout); transitions are stamped into the sv2
   /// decision log. Defaults off.
   resilience::OverloadConfig overload;
-  /// Hedged re-request: a pull request still queued this many broadcast
-  /// units after admission posts a duplicate (synthetic id) into its
-  /// item's queue entry, boosting the entry's aggregate importance so the
-  /// scheduler reaches it sooner. <= 0 disables.
-  double hedge_after = 0.0;
-  /// Test hook: stop admission at this serve-time instant and drain
-  /// (flush the pull queue, seal the journal, report the conservation
-  /// ledger). SIGTERM triggers the same path in realtime mode. <= 0
-  /// disables.
-  double drain_after = 0.0;
   /// v2 journal: fsync after this many appended records when recording to
   /// a file-backed JournalFile (0 = sync only at seal).
   std::size_t journal_sync_every = 64;
@@ -114,31 +91,13 @@ struct ServeConfig {
   /// naming the offending field.
   void validate() const;
 
-  /// Deadline multiplier for a class (1.0 when deadline_scale is empty).
-  [[nodiscard]] double deadline_scale_for(std::size_t cls) const noexcept {
-    return cls < deadline_scale.size() ? deadline_scale[cls] : 1.0;
-  }
-
-  /// True when the deadline-tightening spike can fire.
-  [[nodiscard]] bool deadline_spike_enabled() const noexcept {
-    return !metrics::exactly_equal(deadline_spike_factor, 1.0) &&
-           deadline_spike_duration > 0.0;
-  }
-
   /// True when any live robustness mechanism is on (deadlines, faults,
   /// ladder, hedging or drain) — the header then carries the v2 fields.
   [[nodiscard]] bool robust() const noexcept;
 
-  /// True when a recorded run of this config can be replayed through the
-  /// DES bit-for-bit: only mechanisms with an exact DES mirror are active
-  /// (plain uniform deadlines map to mean_patience; per-class scales,
-  /// spike, faults, ladder and hedging do not). Non-mappable traces replay
-  /// through the deterministic accelerated LiveServer instead.
-  [[nodiscard]] bool des_mappable() const noexcept;
-
-  /// The equivalent DES configuration — what `pushpull replay` runs a
-  /// DES-mappable recorded trace through. mean_deadline maps to
-  /// mean_patience; fault/overload are forwarded verbatim.
+  /// The scheduler configuration core::ServerCore runs with, live or
+  /// replayed: mean_deadline maps to mean_patience; fault/overload are
+  /// forwarded verbatim.
   [[nodiscard]] core::HybridConfig hybrid() const;
 
   /// Materializes the catalog exactly as exp::Scenario::build would
