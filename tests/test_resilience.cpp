@@ -337,6 +337,95 @@ TEST(DegradationLadder, EngagesUnderPressureAndKeepsConservation) {
 
 // --- chaos harness --------------------------------------------------------
 
+// The ladder's occupancy signal counts the requests widen-push parked out
+// of the pull queue. Without them, widening empties the queue, the next
+// evaluation relaxes, the shrink refills the queue, and the ladder
+// flip-flops between widen-push and shed-low-priority, restarting the push
+// program at every flip.
+TEST(DegradationLadder, OccupancyCountsTheWidenedBacklogWithoutFlipFlop) {
+  auto scenario = small_scenario();
+  scenario.arrival_rate = 9.0;
+  const auto built = scenario.build();
+  core::HybridConfig config;
+  config.cutoff = 5;
+  config.resilience.overload.enabled = true;
+  config.resilience.overload.eval_interval = 2.0;
+  config.resilience.overload.capacity_ref = 16;
+  config.resilience.overload.cutoff_step = 20;
+  const auto result = exp::run_hybrid(built, config);
+
+  std::size_t widenings = 0;
+  std::size_t shrinks = 0;
+  for (const auto& t : result.overload_transitions) {
+    if (t.to == resilience::OverloadLevel::kWidenPush &&
+        t.from < t.to) {
+      ++widenings;
+    }
+    if (t.from == resilience::OverloadLevel::kWidenPush && t.to < t.from) {
+      ++shrinks;
+    }
+  }
+  EXPECT_GT(widenings, 0u) << "test must actually widen the push set";
+  EXPECT_LE(shrinks, 1u);
+  // Nothing starves: every request settles (served, shed or rejected).
+  for (const auto& s : result.per_class) EXPECT_EQ(s.outstanding(), 0u);
+}
+
+// A broadcast corrupted while the ladder shrank its item out of the push
+// program has no next cycle to catch: its passengers are pull requests
+// again and must re-enter through admission control (an "enter" or a
+// "shed" for that item at that instant), never rejoin the dead park.
+TEST(DegradationLadder, CorruptedPassengersOfAShrunkItemReenterThePullSide) {
+  auto scenario = small_scenario();
+  scenario.arrival_rate = 8.0;
+  const auto built = scenario.build();
+  core::HybridConfig config;
+  config.cutoff = 5;
+  config.mean_patience = 40.0;
+  config.fault.enabled = true;
+  config.fault.channel.p_good_to_bad = 0.3;
+  config.fault.channel.p_bad_to_good = 0.3;
+  config.fault.channel.corrupt_bad = 0.9;
+  config.resilience.overload.enabled = true;
+  config.resilience.overload.eval_interval = 0.5;
+  config.resilience.overload.capacity_ref = 8;
+  config.resilience.overload.cutoff_step = 10;
+  config.obs.enabled = true;
+  config.obs.trace_capacity = std::size_t{1} << 20;
+  const exp::ObservedRun run = exp::run_hybrid_observed(built, config);
+  ASSERT_EQ(run.obs.dropped, 0u);
+
+  const auto& events = run.obs.events;
+  std::size_t cutoff = config.cutoff;
+  std::size_t stranded = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::TraceEvent& e = events[i];
+    const std::string name = e.name;
+    if (e.category == obs::Category::kCutoff && name == "boost") {
+      cutoff = e.b;
+      continue;
+    }
+    if (e.category != obs::Category::kFault || name != "corrupt_push" ||
+        e.a < cutoff || e.b == 0) {
+      continue;
+    }
+    // The passengers' re-entries follow at the same instant.
+    std::uint64_t reentered = 0;
+    for (std::size_t j = i + 1; j < events.size() && events[j].time == e.time;
+         ++j) {
+      const std::string next = events[j].name;
+      if (events[j].category == obs::Category::kQueue &&
+          events[j].a == e.a && (next == "enter" || next == "shed")) {
+        ++reentered;
+      }
+    }
+    EXPECT_EQ(reentered, e.b) << "corrupt_push of item " << e.a << " at t="
+                              << e.time;
+    stranded += e.b;
+  }
+  EXPECT_GT(stranded, 0u) << "test must corrupt a broadcast of a shrunk item";
+}
+
 TEST(Chaos, SpikeWarpIsDeterministicOrderPreservingAndGated) {
   const auto built = small_scenario().build();
   // Factor 1 (or zero duration) must return the trace untouched.
