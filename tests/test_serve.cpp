@@ -287,9 +287,9 @@ TEST(LiveServer, EveryArrivalIsServed) {
             static_cast<double>(report.arrivals) / report.end_time);
 }
 
-/// The tentpole's core claim: the live event loop is an exact mirror of the
-/// DES for the deterministic subset — same plan through core::HybridServer
-/// agrees on every count and every wait statistic bit-for-bit.
+/// Both drivers run one core::ServerCore: the same plan through
+/// core::HybridServer agrees on every count and every wait statistic
+/// bit-for-bit.
 TEST(LiveServer, AcceleratedRunMatchesDesBitForBit) {
   for (const std::size_t cutoff : {std::size_t{0}, std::size_t{40},
                                    std::size_t{100}}) {
