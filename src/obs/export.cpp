@@ -14,15 +14,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   out.append(buf, res.ptr);
 }
 
-void append_double(std::string& out, double x) {
-  char buf[48];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), x);
-  if (res.ec != std::errc()) {
-    throw std::logic_error("obs::render: to_chars failed for double");
-  }
-  out.append(buf, res.ptr);
-}
-
 void append_rep(std::string& out, std::uint64_t rep) {
   if (rep == kNoRep) return;
   out += "\"rep\":";
@@ -32,9 +23,18 @@ void append_rep(std::string& out, std::uint64_t rep) {
 
 }  // namespace
 
+void append_number(std::string& out, double x) {
+  char buf[48];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), x);
+  if (res.ec != std::errc()) {
+    throw std::logic_error("obs::render: to_chars failed for double");
+  }
+  out.append(buf, res.ptr);
+}
+
 std::string render_number(double x) {
   std::string out;
-  append_double(out, x);
+  append_number(out, x);
   return out;
 }
 
@@ -56,7 +56,7 @@ std::string render_chunk(const ObsReport& report, std::uint64_t rep) {
     out += "\"seq\":";
     append_u64(out, ev.seq);
     out += ",\"t\":";
-    append_double(out, ev.time);
+    append_number(out, ev.time);
     out += ",\"cat\":\"";
     out += to_string(ev.category);
     out += "\",\"ev\":\"";
@@ -66,7 +66,7 @@ std::string render_chunk(const ObsReport& report, std::uint64_t rep) {
     out += ",\"b\":";
     append_u64(out, ev.b);
     out += ",\"v\":";
-    append_double(out, ev.v);
+    append_number(out, ev.v);
     out += "}\n";
   }
   for (const auto& [name, value] : report.counters.rows()) {
@@ -86,17 +86,17 @@ std::string render_chunk(const ObsReport& report, std::uint64_t rep) {
     out += "\",\"count\":";
     append_u64(out, h.count);
     out += ",\"mean\":";
-    append_double(out, h.mean);
+    append_number(out, h.mean);
     out += ",\"min\":";
-    append_double(out, h.min);
+    append_number(out, h.min);
     out += ",\"max\":";
-    append_double(out, h.max);
+    append_number(out, h.max);
     out += ",\"p50\":";
-    append_double(out, h.p50);
+    append_number(out, h.p50);
     out += ",\"p90\":";
-    append_double(out, h.p90);
+    append_number(out, h.p90);
     out += ",\"p99\":";
-    append_double(out, h.p99);
+    append_number(out, h.p99);
     out += "}\n";
   }
   out += '{';

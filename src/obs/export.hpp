@@ -15,6 +15,10 @@ inline constexpr std::uint64_t kNoRep = ~0ull;
 /// the golden trace fixtures byte-compare.
 [[nodiscard]] std::string render_number(double x);
 
+/// Appends render_number(x) to `out` without a temporary string — for
+/// encoders that reuse one buffer per record.
+void append_number(std::string& out, double x);
+
 /// File header line: {"schema":"obs1","categories":"all","cap":65536}
 [[nodiscard]] std::string render_header(std::uint32_t categories,
                                         std::size_t trace_capacity);

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/export.hpp"
 
@@ -38,26 +39,28 @@ using obs::render_number;
                            "\"");
 }
 
-/// Position just past `"key":` in `line`, or npos when absent.
-[[nodiscard]] std::size_t value_pos(const std::string& line,
+/// Position just past the first `"key":` in `line`, or npos when absent.
+[[nodiscard]] std::size_t value_pos(std::string_view line,
                                     std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
+  for (std::size_t at = line.find(key); at != std::string_view::npos;
+       at = line.find(key, at + 1)) {
+    const std::size_t after = at + key.size();
+    if (at > 0 && line[at - 1] == '"' && after + 1 < line.size() &&
+        line[after] == '"' && line[after + 1] == ':') {
+      return after + 2;
+    }
+  }
+  return std::string_view::npos;
 }
 
-[[nodiscard]] bool has_key(const std::string& line, std::string_view key) {
-  return value_pos(line, key) != std::string::npos;
+[[nodiscard]] bool has_key(std::string_view line, std::string_view key) {
+  return value_pos(line, key) != std::string_view::npos;
 }
 
-[[nodiscard]] double number_field(const std::string& line,
-                                  std::string_view key, std::size_t lineno) {
+[[nodiscard]] double number_field(std::string_view line, std::string_view key,
+                                  std::size_t lineno) {
   const std::size_t at = value_pos(line, key);
-  if (at == std::string::npos) {
+  if (at == std::string_view::npos) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": missing field \"" + std::string(key) + "\"");
   }
@@ -74,7 +77,7 @@ using obs::render_number;
   return value;
 }
 
-[[nodiscard]] std::uint64_t count_field(const std::string& line,
+[[nodiscard]] std::uint64_t count_field(std::string_view line,
                                         std::string_view key,
                                         std::size_t lineno) {
   const double value = number_field(line, key, lineno);
@@ -87,22 +90,22 @@ using obs::render_number;
   return static_cast<std::uint64_t>(value);
 }
 
-[[nodiscard]] std::string string_field(const std::string& line,
+[[nodiscard]] std::string string_field(std::string_view line,
                                        std::string_view key,
                                        std::size_t lineno) {
   const std::size_t at = value_pos(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') {
+  if (at == std::string_view::npos || at >= line.size() || line[at] != '"') {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": missing string field \"" + std::string(key) +
                              "\"");
   }
   const std::size_t close = line.find('"', at + 1);
-  if (close == std::string::npos) {
+  if (close == std::string_view::npos) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": unterminated string field \"" +
                              std::string(key) + "\"");
   }
-  return line.substr(at + 1, close - at - 1);
+  return std::string(line.substr(at + 1, close - at - 1));
 }
 
 /// "0.5,1,2" → {0.5, 1.0, 2.0}; "" → {}. Throws on garble.
@@ -137,7 +140,7 @@ using obs::render_number;
   return out;
 }
 
-[[nodiscard]] ServeConfig config_from_header(const std::string& line) {
+[[nodiscard]] ServeConfig config_from_header(std::string_view line) {
   const std::string schema = string_field(line, "schema", 1);
   if (schema != kServeTraceSchema && schema != kServeJournalSchema) {
     throw std::runtime_error("serve trace: expected schema \"" +
@@ -282,7 +285,7 @@ using obs::render_number;
   return out;
 }
 
-[[nodiscard]] ConservationLedger ledger_from_footer(const std::string& line,
+[[nodiscard]] ConservationLedger ledger_from_footer(std::string_view line,
                                                     std::size_t lineno) {
   ConservationLedger ledger;
   if (!has_key(line, "ledger")) return ledger;  // sv1 footers carry none
@@ -301,7 +304,7 @@ enum class PayloadKind { kRequest, kDecision, kFooter };
 /// Parses one body payload into `run`, throwing std::runtime_error on any
 /// malformed content. `lineno` is 1-based (header = 1).
 PayloadKind apply_payload(RecordedRun& run, std::uint64_t& decisions,
-                          const std::string& line, std::size_t lineno) {
+                          std::string_view line, std::size_t lineno) {
   if (line.empty()) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": empty record");
@@ -386,19 +389,24 @@ void sort_requests(RecordedRun& run) {
 
 TraceRecorder::TraceRecorder(std::ostream& out, const ServeConfig& config)
     : out_(&out) {
-  append(render_header(config));
+  frame_.begin().text(render_header(config));
+  emit();
 }
 
 TraceRecorder::TraceRecorder(JournalFile& file, const ServeConfig& config)
-    : out_(&file.stream()),
-      file_(&file),
-      sync_every_(config.journal_sync_every) {
-  append(render_header(config));
+    : file_(&file), sync_every_(config.journal_sync_every) {
+  frame_.begin().text(render_header(config));
+  emit();
 }
 
-void TraceRecorder::append(const std::string& payload) {
-  *out_ << frame_record(payload);
-  if (file_ != nullptr && sync_every_ > 0 && ++since_sync_ >= sync_every_) {
+void TraceRecorder::emit() {
+  const std::string_view frame = frame_.finish();
+  if (file_ == nullptr) {
+    out_->write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    return;
+  }
+  file_->append(frame);
+  if (sync_every_ > 0 && ++since_sync_ >= sync_every_) {
     since_sync_ = 0;
     file_->sync();
   }
@@ -406,47 +414,69 @@ void TraceRecorder::append(const std::string& payload) {
 
 void TraceRecorder::record_request(const workload::Request& request,
                                    double observed_time) {
-  std::ostringstream payload;
-  payload << "{\"t\":" << render_number(observed_time)
-          << ",\"id\":" << request.id << ",\"item\":" << request.item
-          << ",\"cls\":" << static_cast<std::uint64_t>(request.cls) << "}";
-  append(payload.str());
+  frame_.begin()
+      .text("{\"t\":")
+      .number(observed_time)
+      .text(",\"id\":")
+      .integer(request.id)
+      .text(",\"item\":")
+      .integer(request.item)
+      .text(",\"cls\":")
+      .integer(request.cls)
+      .text("}");
+  emit();
   ++requests_;
 }
 
 void TraceRecorder::record_decision(bool push, double time,
                                     catalog::ItemId item,
                                     std::size_t delivered) {
-  std::ostringstream payload;
-  payload << "{\"d\":\"" << (push ? "push" : "pull")
-          << "\",\"t\":" << render_number(time) << ",\"item\":" << item
-          << ",\"n\":" << delivered << "}";
-  append(payload.str());
+  frame_.begin()
+      .text(push ? "{\"d\":\"push\",\"t\":" : "{\"d\":\"pull\",\"t\":")
+      .number(time)
+      .text(",\"item\":")
+      .integer(item)
+      .text(",\"n\":")
+      .integer(delivered)
+      .text("}");
+  emit();
   ++decisions_;
 }
 
 void TraceRecorder::record_ladder(double time, int from, int to) {
-  std::ostringstream payload;
-  payload << "{\"d\":\"ladder\",\"t\":" << render_number(time)
-          << ",\"from\":" << from << ",\"to\":" << to << "}";
-  append(payload.str());
+  frame_.begin()
+      .text("{\"d\":\"ladder\",\"t\":")
+      .number(time)
+      .text(",\"from\":")
+      .integer(from)
+      .text(",\"to\":")
+      .integer(to)
+      .text("}");
+  emit();
   ++decisions_;
 }
 
 void TraceRecorder::record_drain(double time, std::uint64_t skipped) {
-  std::ostringstream payload;
-  payload << "{\"d\":\"drain\",\"t\":" << render_number(time)
-          << ",\"n\":" << skipped << "}";
-  append(payload.str());
+  frame_.begin()
+      .text("{\"d\":\"drain\",\"t\":")
+      .number(time)
+      .text(",\"n\":")
+      .integer(skipped)
+      .text("}");
+  emit();
   ++decisions_;
 }
 
 void TraceRecorder::seal(const ConservationLedger& ledger) {
   if (finished_) return;
   finished_ = true;
-  append(render_footer(requests_, decisions_, ledger));
-  out_->flush();
-  if (file_ != nullptr) file_->sync();
+  frame_.begin().text(render_footer(requests_, decisions_, ledger));
+  emit();
+  if (file_ != nullptr) {
+    file_->sync();
+  } else {
+    out_->flush();
+  }
 }
 
 void TraceRecorder::finish() { seal(ConservationLedger{}); }
@@ -466,31 +496,42 @@ RecordedRun load_trace(std::istream& in) {
     }
     return load_trace_v1(in, std::move(line));
   }
-  const JournalScan scan = scan_journal(in);
-  if (scan.payloads.empty()) {
+  FrameReader reader(in);
+  std::string_view payload;
+  if (!reader.next(payload)) {
     throw std::runtime_error(
         "serve trace: no complete journal record (garbled or truncated "
         "framing)");
   }
-  if (scan.truncated) {
-    throw std::runtime_error(
+  const auto truncated = [] {
+    return std::runtime_error(
         "serve trace: garbled or truncated journal framing — use recovery "
         "(serve --resume) to salvage the valid prefix");
-  }
+  };
   RecordedRun run;
-  run.config = config_from_header(scan.payloads.front());
   bool saw_footer = false;
   std::uint64_t decisions = 0;
-  for (std::size_t i = 1; i < scan.payloads.size(); ++i) {
-    if (saw_footer) {
-      throw std::runtime_error("serve trace record " + std::to_string(i + 1) +
-                               ": content after the footer");
+  try {
+    run.config = config_from_header(payload);
+    for (std::size_t record = 2; reader.next(payload); ++record) {
+      if (saw_footer) {
+        throw std::runtime_error("serve trace record " +
+                                 std::to_string(record) +
+                                 ": content after the footer");
+      }
+      if (apply_payload(run, decisions, payload, record) ==
+          PayloadKind::kFooter) {
+        saw_footer = true;
+      }
     }
-    if (apply_payload(run, decisions, scan.payloads[i], i + 1) ==
-        PayloadKind::kFooter) {
-      saw_footer = true;
+  } catch (...) {
+    // Broken framing outranks a bad record: scan on to report it.
+    while (reader.next(payload)) {
     }
+    if (reader.truncated()) throw truncated();
+    throw;
   }
+  if (reader.truncated()) throw truncated();
   if (!saw_footer) {
     throw std::runtime_error(
         "serve trace: missing footer record — unsealed journal (crashed "
@@ -510,24 +551,24 @@ RecordedRun load_trace_file(const std::string& path) {
 }
 
 RecoveredRun recover_trace(std::istream& in) {
-  const JournalScan scan = scan_journal(in);
-  if (scan.payloads.empty()) {
+  FrameReader reader(in);
+  std::string_view payload;
+  if (!reader.next(payload)) {
     throw std::runtime_error(
         "serve recovery: no complete record — the header itself is "
         "truncated, nothing to recover");
   }
   RecoveredRun recovered;
-  recovered.run.config = config_from_header(scan.payloads.front());
+  recovered.run.config = config_from_header(payload);
   recovered.records = 1;
-  recovered.bytes_consumed =
-      kFrameDigits + 1 + scan.payloads.front().size() + 1;
+  recovered.bytes_consumed = reader.bytes_consumed();
   std::uint64_t decisions = 0;
-  for (std::size_t i = 1; i < scan.payloads.size(); ++i) {
+  for (std::size_t record = 2; reader.next(payload); ++record) {
     const std::size_t before_requests = recovered.run.requests.size();
     const std::uint64_t before_decisions = decisions;
     PayloadKind kind;
     try {
-      kind = apply_payload(recovered.run, decisions, scan.payloads[i], i + 1);
+      kind = apply_payload(recovered.run, decisions, payload, record);
     } catch (const std::runtime_error&) {
       // An intact frame with an unparsable payload ends the valid prefix —
       // everything before it is still good.
@@ -536,7 +577,7 @@ RecoveredRun recover_trace(std::istream& in) {
       break;
     }
     recovered.records += 1;
-    recovered.bytes_consumed += kFrameDigits + 1 + scan.payloads[i].size() + 1;
+    recovered.bytes_consumed = reader.bytes_consumed();
     if (kind == PayloadKind::kFooter) {
       recovered.sealed = true;
       break;

@@ -32,8 +32,9 @@ namespace pushpull::serve {
 ///      engagement;
 ///   4. a sealing `{"requests":N,"decisions":M,...ledger}` footer carrying
 ///      the conservation ledger.
-/// All numbers are rendered with obs::render_number, so recording the same
-/// accelerated run twice produces byte-identical files.
+/// All numbers are rendered with obs::render_number's shortest round-trip
+/// form, so recording the same accelerated run twice produces
+/// byte-identical files.
 inline constexpr std::string_view kServeTraceSchema = "sv1";
 inline constexpr std::string_view kServeJournalSchema = "sv2";
 
@@ -42,7 +43,9 @@ inline constexpr std::string_view kServeJournalSchema = "sv2";
 /// at dispatch, decisions at transmission start), so records never
 /// interleave. When constructed over a JournalFile the recorder fsyncs
 /// every `config.journal_sync_every` records (0 = only at seal); over a
-/// plain ostream it just writes (tests record into strings).
+/// plain ostream it just writes (tests record into strings). Each record
+/// is encoded into one reused FrameEncoder and handed to the sink in one
+/// write.
 class TraceRecorder final : public core::DecisionSink {
  public:
   /// Writes the header record immediately.
@@ -72,9 +75,11 @@ class TraceRecorder final : public core::DecisionSink {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
  private:
-  void append(const std::string& payload);
+  /// Finishes frame_ and writes it to the sink, syncing on schedule.
+  void emit();
 
-  std::ostream* out_;
+  FrameEncoder frame_;
+  std::ostream* out_ = nullptr;
   JournalFile* file_ = nullptr;
   std::size_t sync_every_ = 0;
   std::size_t since_sync_ = 0;

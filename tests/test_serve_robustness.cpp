@@ -87,9 +87,10 @@ std::string fingerprint(const std::vector<metrics::ClassStats>& stats) {
 // First record's framed length — a cut below this loses the header.
 std::size_t header_frame_len(const std::string& journal) {
   std::istringstream in(journal);
-  const JournalScan scan = scan_journal(in);
-  EXPECT_FALSE(scan.payloads.empty());
-  return kFrameDigits + 1 + scan.payloads.front().size() + 1;
+  FrameReader reader(in);
+  std::string_view header;
+  EXPECT_TRUE(reader.next(header));
+  return reader.bytes_consumed();
 }
 
 void write_bytes(const std::string& path, std::string_view bytes) {
