@@ -121,7 +121,7 @@ ShapedTrace shape_trace(const workload::Trace& base, const Timeline& timeline,
     const std::size_t rotation = timeline.rotation_at(warped) % num_items;
     catalog::ItemId item = r.item;
     if (rotation != 0) {
-      item = (r.item + rotation) % num_items;
+      item = static_cast<catalog::ItemId>((r.item + rotation) % num_items);
       if (item != r.item) ++out.summary.rotated;
     }
     const HandoffDraw draw =

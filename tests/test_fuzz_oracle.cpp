@@ -276,7 +276,9 @@ TEST(PullQueueOracle, PolicySwapsInvalidateCachedScores) {
     const auto a = fast.extract_best(policy, ctx);
     const auto s = scan.extract_best(policy, ctx);
     ASSERT_EQ(a.has_value(), s.has_value());
-    if (a.has_value()) ASSERT_EQ(a->item, s->item) << "round " << round;
+    if (a.has_value()) {
+      ASSERT_EQ(a->item, s->item) << "round " << round;
+    }
   }
 }
 
