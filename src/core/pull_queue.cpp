@@ -8,27 +8,36 @@ namespace pushpull::core {
 
 void PullQueue::add(const workload::Request& request, double priority,
                     double length, double popularity) {
-  auto [it, inserted] = slot_of_.try_emplace(request.item, entries_.size());
-  if (inserted) {
+  if (request.item >= slot_of_.size()) {
+    slot_of_.resize(std::size_t{request.item} + 1, kNoSlot);
+  }
+  Slot slot = slot_of_[request.item];
+  if (slot == kNoSlot) {
+    slot = static_cast<Slot>(entries_.size());
+    slot_of_[request.item] = slot;
     sched::PullEntry entry;
     entry.item = request.item;
     entry.length = length;
     entry.popularity = popularity;
     entry.first_arrival = request.arrival;
+    if (!spare_.empty()) {
+      entry.pending = std::move(spare_.back());
+      spare_.pop_back();
+    }
     entries_.push_back(std::move(entry));
     scores_.push_back(0.0);
     is_dirty_.push_back(0);
     if (tree_cap_ != 0 && entries_.size() > tree_cap_) {
       rebuild_tree();
     } else {
-      tree_set_leaf(entries_.size() - 1);
+      tree_set_leaf(slot);
     }
   }
-  auto& entry = entries_[it->second];
+  auto& entry = entries_[slot];
   entry.pending.push_back(request);
   entry.total_priority += priority;
   entry.total_arrival += request.arrival;
-  mark_dirty(it->second);
+  mark_dirty(slot);
   ++total_requests_;
   if (counters_ != nullptr) {
     ++counters_->enters;
@@ -37,8 +46,8 @@ void PullQueue::add(const workload::Request& request, double priority,
 }
 
 const sched::PullEntry* PullQueue::find(catalog::ItemId item) const {
-  const auto it = slot_of_.find(item);
-  return it == slot_of_.end() ? nullptr : &entries_[it->second];
+  const Slot slot = slot_of(item);
+  return slot == kNoSlot ? nullptr : &entries_[slot];
 }
 
 std::size_t PullQueue::select_by_scan(const sched::PullPolicy& policy,
@@ -94,12 +103,11 @@ std::optional<sched::PullEntry> PullQueue::extract_best(
 }
 
 std::optional<sched::PullEntry> PullQueue::extract(catalog::ItemId item) {
-  const auto it = slot_of_.find(item);
-  if (it == slot_of_.end()) return std::nullopt;
-  const std::size_t slot = it->second;
+  const Slot slot = slot_of(item);
+  if (slot == kNoSlot) return std::nullopt;
   const std::size_t back = entries_.size() - 1;
   sched::PullEntry out = std::move(entries_[slot]);
-  slot_of_.erase(it);
+  slot_of_[item] = kNoSlot;
   if (slot != back) {
     entries_[slot] = std::move(entries_.back());
     // The moved entry keeps its cached score; only its slot changed.
@@ -113,8 +121,12 @@ std::optional<sched::PullEntry> PullQueue::extract(catalog::ItemId item) {
   entries_.pop_back();
   scores_.pop_back();
   is_dirty_.pop_back();
-  tree_set_leaf(back);                   // vacated leaf
-  if (slot != back) tree_set_leaf(slot); // moved entry's new path
+  tree_set_leaf(back);  // vacated leaf
+  // Two leaves changed: the moved entry's keeps its slot id but carries
+  // another item and score. The one-leaf early exit covers the vacated walk
+  // only below the two leaves' common ancestor, so the moved path is
+  // rewritten in full, which covers that ancestor and everything above.
+  if (slot != back) tree_set_leaf(slot, /*full_walk=*/true);
   if (total_requests_ < out.pending.size()) {
     throw std::logic_error(
         "PullQueue: extracting item " + std::to_string(item) + " with " +
@@ -132,9 +144,9 @@ std::optional<sched::PullEntry> PullQueue::extract(catalog::ItemId item) {
 
 bool PullQueue::remove_request(catalog::ItemId item,
                                workload::RequestId request, double priority) {
-  const auto it = slot_of_.find(item);
-  if (it == slot_of_.end()) return false;
-  auto& entry = entries_[it->second];
+  const Slot slot = slot_of(item);
+  if (slot == kNoSlot) return false;
+  auto& entry = entries_[slot];
   auto pending_it = entry.pending.begin();
   for (; pending_it != entry.pending.end(); ++pending_it) {
     if (pending_it->id == request) break;
@@ -147,7 +159,7 @@ bool PullQueue::remove_request(catalog::ItemId item,
   if (entry.pending.empty()) {
     // The emptied entry leaves the queue; its batch size is already zero,
     // so extract() adjusts no further counts.
-    (void)extract(item);
+    recycle(std::move(extract(item)->pending));
     return true;
   }
   entry.total_priority -= priority;
@@ -155,16 +167,25 @@ bool PullQueue::remove_request(catalog::ItemId item,
   for (const auto& r : entry.pending) {
     if (r.arrival < entry.first_arrival) entry.first_arrival = r.arrival;
   }
-  mark_dirty(it->second);
+  mark_dirty(slot);
   return true;
+}
+
+void PullQueue::recycle(std::vector<workload::Request>&& buffer) {
+  if (buffer.capacity() == 0) return;
+  buffer.clear();
+  spare_.push_back(std::move(buffer));
 }
 
 void PullQueue::clear() {
   // A mid-run wipe (cold-recovery crash) discards every queued request, so
   // the enter/leave conservation tally still balances at run end.
   if (counters_ != nullptr) counters_->leaves += total_requests_;
+  for (auto& entry : entries_) {
+    slot_of_[entry.item] = kNoSlot;
+    recycle(std::move(entry.pending));
+  }
   entries_.clear();
-  slot_of_.clear();
   total_requests_ = 0;
   scores_.clear();
   is_dirty_.clear();
@@ -193,12 +214,17 @@ PullQueue::Slot PullQueue::tree_winner(Slot l, Slot r) const noexcept {
   return l;
 }
 
-void PullQueue::tree_set_leaf(std::size_t slot) {
+void PullQueue::tree_set_leaf(std::size_t slot, bool full_walk) {
   if (tree_cap_ == 0 || slot >= tree_cap_) return;
   std::size_t i = tree_cap_ + slot;
   tree_[i] = slot < entries_.size() ? static_cast<Slot>(slot) : kNoSlot;
   for (i >>= 1; i >= 1; i >>= 1) {
-    tree_[i] = tree_winner(tree_[2 * i], tree_[2 * i + 1]);
+    const Slot won = tree_winner(tree_[2 * i], tree_[2 * i + 1]);
+    // Only slot's leaf changed, so a node that keeps a winner other than
+    // slot feeds its parent the same slot with the same score and item:
+    // every node above it already holds the winner of its children.
+    if (!full_walk && won == tree_[i] && won != slot) return;
+    tree_[i] = won;
   }
 }
 

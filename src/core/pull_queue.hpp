@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -19,19 +18,21 @@ namespace pushpull::core {
 /// item (the paper's R_i / Q_i / S_i bookkeeping), with policy-driven
 /// extraction of the most important entry.
 ///
-/// Storage is a dense vector with an item→slot index; removal swaps with
-/// the back, so insertion, lookup and removal are O(1). Selection has two
-/// engines:
+/// Storage is a dense vector of entries plus a dense item→slot index (a
+/// vector indexed by item id, grown to the largest id seen); removal swaps
+/// with the back, so insertion, lookup and removal are O(1) and hash
+/// nothing. Selection has two engines:
 ///
 /// - kIndexed (default): cached per-entry scores plus a tournament max-tree
 ///   over the slots. Mutations (add / extract / remove_request) mark the
 ///   touched slot dirty; extraction rescores only dirty slots and reads the
 ///   winner at the tree root — O(d·log n) per slot where d is the number of
 ///   entries whose R_i/Q_i/age inputs changed since the last extraction,
-///   instead of the O(n) full rescan. Only policies whose score depends
-///   solely on the entry (PullPolicy::ctx_invariant()) can use the cache;
-///   context-dependent policies (RxW, LWF, queue-aware importance, aging)
-///   transparently fall back to the reference scan.
+///   instead of the O(n) full rescan. A leaf update stops climbing at the
+///   first node whose winner it did not change. Only policies whose score
+///   depends solely on the entry (PullPolicy::ctx_invariant()) can use the
+///   cache; context-dependent policies (RxW, LWF, queue-aware importance,
+///   aging) transparently fall back to the reference scan.
 /// - kScan: the original O(n) linear rescan, kept as the reference engine
 ///   for the differential fuzz oracle and the throughput benchmark.
 ///
@@ -69,7 +70,8 @@ class PullQueue {
   /// Appends a request, creating or extending the item's entry.
   /// `priority` is the requesting client's q_j; `length` and `popularity`
   /// are the item's catalog attributes (cached in the entry so policies
-  /// never need catalog access).
+  /// never need catalog access). Item ids index a dense table, so they are
+  /// expected to be catalog ids: the table grows to the largest id seen.
   void add(const workload::Request& request, double priority, double length,
            double popularity);
 
@@ -98,6 +100,13 @@ class PullQueue {
   bool remove_request(catalog::ItemId item, workload::RequestId request,
                       double priority);
 
+  /// Hands back an extracted entry's request buffer once its caller is done
+  /// with it. The buffer is cleared and kept (if it holds any capacity) for
+  /// the next new entry, so steady-state adds do not allocate. Optional: a
+  /// buffer that is simply destroyed costs only the allocation it saves.
+  void recycle(std::vector<workload::Request>&& buffer);
+
+  /// Empties the queue; the entries' request buffers are recycled.
   void clear();
 
   /// Drops every cached score (next extract_best rescores all entries).
@@ -119,15 +128,25 @@ class PullQueue {
   /// The reference selection: the exact legacy left-to-right fold.
   [[nodiscard]] std::size_t select_by_scan(const sched::PullPolicy& policy,
                                            const sched::PullContext& ctx) const;
+  [[nodiscard]] Slot slot_of(catalog::ItemId item) const noexcept {
+    return item < slot_of_.size() ? slot_of_[item] : kNoSlot;
+  }
   [[nodiscard]] Slot tree_winner(Slot l, Slot r) const noexcept;
   /// Rewrites slot's leaf (empty when slot >= size) and its root path.
-  void tree_set_leaf(std::size_t slot);
+  /// The walk stops at the first node whose winner is unchanged and is not
+  /// `slot`, unless `full_walk` asks for every node up to the root.
+  void tree_set_leaf(std::size_t slot, bool full_walk = false);
   /// (Re)builds the tree with capacity for the current entry count.
   void rebuild_tree();
 
   SelectMode mode_ = SelectMode::kIndexed;
   std::vector<sched::PullEntry> entries_;
-  std::unordered_map<catalog::ItemId, std::size_t> slot_of_;
+  // Dense item→slot index: slot_of_[item] is the item's slot in entries_,
+  // kNoSlot when the item has no entry (or lies beyond the largest id seen).
+  std::vector<Slot> slot_of_;
+  // Cleared request buffers handed back through recycle(), given to new
+  // entries LIFO.
+  std::vector<std::vector<workload::Request>> spare_;
   std::size_t total_requests_ = 0;
   obs::QueueCounters* counters_ = nullptr;
 

@@ -421,8 +421,14 @@ void ServerCore::start_push() {
   const catalog::ItemId item = push_sched_->next();
   // Only clients already waiting when the transmission starts catch it;
   // arrivals during the airtime wait for the next replica.
-  std::vector<workload::Request> catching = std::move(push_waiters_[item]);
-  push_waiters_[item].clear();
+  // The waiting list swaps with a spare buffer, so the item keeps a park
+  // with capacity; the closure below returns `catching` to the spares.
+  std::vector<workload::Request> catching;
+  if (!spare_waiters_.empty()) {
+    catching = std::move(spare_waiters_.back());
+    spare_waiters_.pop_back();
+  }
+  catching.swap(push_waiters_[item]);
   // Once the item is on air, the waiting clients are committed to it.
   for (const auto& r : catching) disarm_patience(r.id);
   trace_.emit<obs::Category::kPush>(now, "tx_start", item, catching.size(),
@@ -433,8 +439,11 @@ void ServerCore::start_push() {
   const std::uint64_t epoch = server_epoch_;
   sim_.schedule_in(
       catalog_->length(item),
-      [this, item, epoch, catching = std::move(catching)]() {
-        if (epoch != server_epoch_) return;  // voided by a crash
+      [this, item, epoch, catching = std::move(catching)]() mutable {
+        if (epoch != server_epoch_) {  // voided by a crash
+          recycle_waiters(std::move(catching));
+          return;
+        }
         if (sink_) sink_->on_slot_end(sim_.now());
         inflight_push_.reset();
         on_air_ = 0;
@@ -471,6 +480,7 @@ void ServerCore::start_push() {
         } else {
           for (const auto& r : catching) deliver(r, true);
         }
+        recycle_waiters(std::move(catching));
         serve_next(/*just_did_push=*/true);
       });
 }
@@ -526,6 +536,7 @@ void ServerCore::start_pull() {
       if (measured(r)) collector_->record_blocked(r.cls);
       settle_one();
     }
+    pull_queue_.recycle(std::move(entry->pending));
     serve_next(/*just_did_push=*/false);
     return;
   }
@@ -538,8 +549,11 @@ void ServerCore::start_pull() {
   if (crash_active_) inflight_pull_ = InFlightPull{*entry, cls, demand};
   const std::uint64_t epoch = server_epoch_;
   sim_.schedule_in(entry->length, [this, epoch, entry = std::move(*entry),
-                                   cls, demand]() {
-    if (epoch != server_epoch_) return;  // voided by a crash
+                                   cls, demand]() mutable {
+    if (epoch != server_epoch_) {  // voided by a crash
+      pull_queue_.recycle(std::move(entry.pending));
+      return;
+    }
     if (sink_) sink_->on_slot_end(sim_.now());
     inflight_pull_.reset();
     on_air_ = 0;
@@ -564,6 +578,7 @@ void ServerCore::start_pull() {
         deliver(r, false);
       }
     }
+    pull_queue_.recycle(std::move(entry.pending));
     serve_next(/*just_did_push=*/false);
   });
 }
@@ -800,6 +815,7 @@ void ServerCore::apply_cutoff_boost(std::size_t boost) {
         disarm_hedge(r.id);
         push_waiters_[r.item].push_back(r);
       }
+      pull_queue_.recycle(std::move(entry->pending));
     }
   } else {
     // Shrunk back: parked waiters of de-widened items are pull requests

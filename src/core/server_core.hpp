@@ -240,6 +240,13 @@ class ServerCore {
   /// queued/parked requests across the moved cutoff.
   void apply_cutoff_boost(std::size_t boost);
 
+  /// Hands a push transmission's waiter list back to spare_waiters_.
+  void recycle_waiters(std::vector<workload::Request>&& waiters) {
+    if (waiters.capacity() == 0) return;
+    waiters.clear();
+    spare_waiters_.push_back(std::move(waiters));
+  }
+
   [[nodiscard]] bool measured(const workload::Request& request) const noexcept {
     return request.arrival >= warmup_time_;
   }
@@ -262,6 +269,9 @@ class ServerCore {
   std::optional<fault::GilbertElliottChannel> channel_;
 
   std::vector<std::vector<workload::Request>> push_waiters_;
+  // Cleared waiter lists of finished push broadcasts; start_push swaps one
+  // into the item it puts on air, so parking a request rarely allocates.
+  std::vector<std::vector<workload::Request>> spare_waiters_;
   // Pending abandonment timers, keyed by request id; a timer is disarmed
   // the moment its request is committed to a transmission (or dropped).
   std::unordered_map<workload::RequestId, des::EventId> patience_;

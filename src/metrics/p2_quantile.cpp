@@ -15,62 +15,6 @@ P2Quantile::P2Quantile(double q) : q_(q) {
   increments_ = {0, q / 2, q, (1 + q) / 2, 1};
 }
 
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    heights_[count_++] = x;
-    if (count_ == 5) std::sort(heights_.begin(), heights_.end());
-    return;
-  }
-
-  // Locate the cell containing x and update extreme markers.
-  std::size_t cell;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    cell = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    cell = 3;
-  } else {
-    cell = 0;
-    while (cell < 3 && x >= heights_[cell + 1]) ++cell;
-  }
-  ++count_;
-
-  for (std::size_t i = cell + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust interior markers toward their desired positions with the
-  // piecewise-parabolic (P²) update, falling back to linear when the
-  // parabola would break marker ordering.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    const double delta = desired_[i] - positions_[i];
-    const double right_gap = positions_[i + 1] - positions_[i];
-    const double left_gap = positions_[i - 1] - positions_[i];
-    if ((delta >= 1.0 && right_gap > 1.0) ||
-        (delta <= -1.0 && left_gap < -1.0)) {
-      const double d = delta >= 1.0 ? 1.0 : -1.0;
-      // Parabolic prediction.
-      const double hp =
-          heights_[i] +
-          d / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + d) *
-                   (heights_[i + 1] - heights_[i]) / right_gap +
-               (positions_[i + 1] - positions_[i] - d) *
-                   (heights_[i] - heights_[i - 1]) /
-                   (positions_[i] - positions_[i - 1]));
-      if (heights_[i - 1] < hp && hp < heights_[i + 1]) {
-        heights_[i] = hp;
-      } else {
-        // Linear fallback toward the neighbor in the move direction.
-        const std::size_t j = d > 0 ? i + 1 : i - 1;
-        heights_[i] += d * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += d;
-    }
-  }
-}
-
 double P2Quantile::value() const {
   if (count_ == 0) return 0.0;
   if (count_ < 5) {

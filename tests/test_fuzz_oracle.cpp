@@ -5,6 +5,7 @@
 // targeted unit tests can miss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -38,6 +39,7 @@ class ReferencePullQueue {
       e.total_arrival = 0.0;
     }
     e.pending.push_back(r);
+    ++total_requests_;
     e.total_priority += priority;
     e.total_arrival += r.arrival;
   }
@@ -52,6 +54,7 @@ class ReferencePullQueue {
         e.total_arrival -= p->arrival;
         e.total_priority -= priority;
         e.pending.erase(p);
+        --total_requests_;
         if (e.pending.empty()) {
           entries_.erase(it);
         } else {
@@ -66,8 +69,9 @@ class ReferencePullQueue {
     return false;
   }
 
-  std::optional<sched::PullEntry> extract_best(
-      const sched::PullPolicy& policy, const sched::PullContext& ctx) {
+  /// The item extract_best would take, without taking it.
+  std::optional<catalog::ItemId> best_item(const sched::PullPolicy& policy,
+                                           const sched::PullContext& ctx) {
     if (entries_.empty()) return std::nullopt;
     const sched::PullEntry* best = nullptr;
     double best_score = 0.0;
@@ -79,9 +83,14 @@ class ReferencePullQueue {
         best_score = s;
       }
     }
-    sched::PullEntry out = *best;
-    entries_.erase(out.item);
-    return out;
+    return best->item;
+  }
+
+  std::optional<sched::PullEntry> extract_best(
+      const sched::PullPolicy& policy, const sched::PullContext& ctx) {
+    const auto item = best_item(policy, ctx);
+    if (!item.has_value()) return std::nullopt;
+    return extract(*item);
   }
 
   std::optional<sched::PullEntry> extract(catalog::ItemId item) {
@@ -89,26 +98,37 @@ class ReferencePullQueue {
     if (it == entries_.end()) return std::nullopt;
     sched::PullEntry out = it->second;
     entries_.erase(it);
+    total_requests_ -= out.pending.size();
     return out;
   }
 
-  [[nodiscard]] std::size_t total_requests() const {
-    std::size_t n = 0;
-    for (const auto& [item, e] : entries_) n += e.pending.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t total_requests() const { return total_requests_; }
   [[nodiscard]] std::size_t distinct_items() const { return entries_.size(); }
 
  private:
   std::map<catalog::ItemId, sched::PullEntry> entries_;
+  std::size_t total_requests_ = 0;
+};
+
+/// The catalog a fuzz schedule draws from.
+struct FuzzShape {
+  std::uint32_t items = 25;   // item ids drawn from [0, items)
+  std::uint32_t lengths = 5;  // length = 1 + item % lengths
+  std::uint32_t classes = 3;  // cls drawn from [0, classes), q = classes - cls
+  int fill = 0;               // leading steps that only add
+  // Share of steps that take the oracle's current winner out through
+  // extract(item), i.e. the tree root leaves by a swap-remove.
+  double winner_evictions = 0.0;
 };
 
 /// Drives the indexed PullQueue, the O(n) reference-scan PullQueue and the
 /// naive map oracle through one random schedule (adds, impatience removals,
 /// direct evictions — the shed/blocking path — and policy extractions),
 /// asserting all three agree after every operation.
+/// `peak_items`, when given, receives the most distinct items queued at once.
 void run_pull_fuzz(const sched::PullPolicy& policy, std::uint64_t seed,
-                   int ops) {
+                   int ops, const FuzzShape& shape = {},
+                   std::size_t* peak_items = nullptr) {
   core::PullQueue fast;  // default engine: indexed (dirty-set + max-tree)
   core::PullQueue scan(core::PullQueue::SelectMode::kScan);
   ReferencePullQueue oracle;
@@ -118,18 +138,32 @@ void run_pull_fuzz(const sched::PullPolicy& policy, std::uint64_t seed,
   workload::RequestId next_id = 0;
   std::vector<workload::Request> live;  // queued requests, for removals
 
+  // Takes the extracted requests out of the live set.
+  const auto forget = [&live](const sched::PullEntry& entry) {
+    for (const auto& r : entry.pending) {
+      for (auto it = live.begin(); it != live.end(); ++it) {
+        if (it->id == r.id) {
+          live.erase(it);
+          break;
+        }
+      }
+    }
+  };
+
   for (int op = 0; op < ops; ++op) {
     clock += 0.25;
-    const double dice = rng::uniform01(eng);
+    const double dice = op < shape.fill ? 0.0 : rng::uniform01(eng);
     if (dice < 0.5) {
       // Insert a request for a random item.
       workload::Request r;
       r.id = next_id++;
-      r.item = static_cast<catalog::ItemId>(rng::uniform_below(eng, 25));
-      r.cls = static_cast<workload::ClassId>(rng::uniform_below(eng, 3));
+      r.item = static_cast<catalog::ItemId>(
+          rng::uniform_below(eng, shape.items));
+      r.cls = static_cast<workload::ClassId>(
+          rng::uniform_below(eng, shape.classes));
       r.arrival = clock;
-      const double priority = static_cast<double>(3 - r.cls);
-      const double length = 1.0 + static_cast<double>(r.item % 5);
+      const double priority = static_cast<double>(shape.classes - r.cls);
+      const double length = 1.0 + static_cast<double>(r.item % shape.lengths);
       const double popularity = 1.0 / (1.0 + static_cast<double>(r.item));
       fast.add(r, priority, length, popularity);
       scan.add(r, priority, length, popularity);
@@ -140,7 +174,8 @@ void run_pull_fuzz(const sched::PullPolicy& policy, std::uint64_t seed,
       const auto idx =
           static_cast<std::size_t>(rng::uniform_below(eng, live.size()));
       const workload::Request victim = live[idx];
-      const double priority = static_cast<double>(3 - victim.cls);
+      const double priority =
+          static_cast<double>(shape.classes - victim.cls);
       const bool a = fast.remove_request(victim.item, victim.id, priority);
       const bool s = scan.remove_request(victim.item, victim.id, priority);
       const bool b = oracle.remove_request(victim.item, victim.id, priority);
@@ -149,8 +184,8 @@ void run_pull_fuzz(const sched::PullPolicy& policy, std::uint64_t seed,
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else if (dice < 0.76) {
       // Evict a specific item outright (the shed / blocking-drop path).
-      const auto item =
-          static_cast<catalog::ItemId>(rng::uniform_below(eng, 25));
+      const auto item = static_cast<catalog::ItemId>(
+          rng::uniform_below(eng, shape.items));
       const auto a = fast.extract(item);
       const auto s = scan.extract(item);
       const auto b = oracle.extract(item);
@@ -159,15 +194,22 @@ void run_pull_fuzz(const sched::PullPolicy& policy, std::uint64_t seed,
       if (a.has_value()) {
         ASSERT_EQ(a->pending.size(), b->pending.size());
         ASSERT_EQ(s->pending.size(), b->pending.size());
-        for (const auto& r : a->pending) {
-          for (auto it = live.begin(); it != live.end(); ++it) {
-            if (it->id == r.id) {
-              live.erase(it);
-              break;
-            }
-          }
-        }
+        forget(*a);
       }
+    } else if (dice >= 1.0 - shape.winner_evictions) {
+      // Evict the current winner by id: the slot at the tree root leaves
+      // and the back entry moves into it, with no rescore in between.
+      const sched::PullContext ctx{clock, 2.0};
+      const auto item = oracle.best_item(policy, ctx);
+      if (!item.has_value()) continue;
+      const auto a = fast.extract(*item);
+      const auto s = scan.extract(*item);
+      const auto b = oracle.extract(*item);
+      ASSERT_TRUE(a.has_value()) << "op " << op;
+      ASSERT_TRUE(s.has_value()) << "op " << op;
+      ASSERT_EQ(a->pending.size(), b->pending.size());
+      ASSERT_EQ(s->pending.size(), b->pending.size());
+      forget(*a);
     } else {
       // Extract the best entry under the policy.
       const sched::PullContext ctx{clock, 2.0};
@@ -181,21 +223,16 @@ void run_pull_fuzz(const sched::PullPolicy& policy, std::uint64_t seed,
         ASSERT_EQ(s->item, b->item) << "op " << op;
         ASSERT_EQ(a->pending.size(), b->pending.size());
         ASSERT_DOUBLE_EQ(a->total_priority, b->total_priority);
-        // Drop the extracted requests from the live set.
-        for (const auto& r : a->pending) {
-          for (auto it = live.begin(); it != live.end(); ++it) {
-            if (it->id == r.id) {
-              live.erase(it);
-              break;
-            }
-          }
-        }
+        forget(*a);
       }
     }
     ASSERT_EQ(fast.total_requests(), oracle.total_requests());
     ASSERT_EQ(scan.total_requests(), oracle.total_requests());
     ASSERT_EQ(fast.distinct_items(), oracle.distinct_items());
     ASSERT_EQ(scan.distinct_items(), oracle.distinct_items());
+    if (peak_items != nullptr) {
+      *peak_items = std::max(*peak_items, fast.distinct_items());
+    }
   }
 }
 
@@ -224,6 +261,38 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       }
       return name;
+    });
+
+class WidePullQueueOracleTest
+    : public ::testing::TestWithParam<sched::PullPolicyKind> {};
+
+TEST_P(WidePullQueueOracleTest, DeepTiedTreeMatchesReference) {
+  // More than 4096 items queued at once give the tree 8192 leaves, 13
+  // levels. Lengths and priorities from {1, 2} make equal scores common,
+  // so item-id tie-breaks decide many nodes, and winner evictions move the
+  // back entry into the root's slot without a rescore in between.
+  FuzzShape shape;
+  shape.items = 5000;
+  shape.lengths = 2;
+  shape.classes = 2;
+  shape.fill = 12000;
+  shape.winner_evictions = 0.1;
+  const auto policy = sched::make_pull_policy(GetParam(), 0.4);
+  ASSERT_TRUE(policy->ctx_invariant());  // selection runs on the tree
+  std::size_t peak_items = 0;
+  run_pull_fuzz(*policy, 0x5EED + static_cast<std::uint64_t>(GetParam()),
+                60000, shape, &peak_items);
+  EXPECT_GT(peak_items, 4096U);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, WidePullQueueOracleTest,
+    ::testing::Values(sched::PullPolicyKind::kMrf,
+                      sched::PullPolicyKind::kStretch,
+                      sched::PullPolicyKind::kPriority,
+                      sched::PullPolicyKind::kImportance),
+    [](const ::testing::TestParamInfo<sched::PullPolicyKind>& param_info) {
+      return std::string(sched::to_string(param_info.param));
     });
 
 TEST(PullQueueOracle, AgedImportanceMatchesReference) {
