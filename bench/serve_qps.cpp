@@ -4,7 +4,7 @@
 // sweep is seeded and bit-reproducible) across a range of offered loads,
 // reporting achieved vs target QPS, per-class p50/p95/p99 waits and
 // pull-queue depth, and writes BENCH_serve.json so the serving trajectory
-// is tracked across PRs. Every point also records its sv1 trace and feeds
+// is tracked across PRs. Every point also records its sv3 journal and feeds
 // it back through the deterministic DES core, asserting the record/replay
 // bridge is bit-exact (exit 1 when any point diverges).
 //

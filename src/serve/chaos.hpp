@@ -29,11 +29,11 @@ struct ResumeResult {
   ServeReport report;
 };
 
-/// Crash recovery: salvages the longest valid prefix of the sv2 journal at
-/// `journal_path` (std::runtime_error when even the header is gone),
-/// re-runs it through the accelerated live engine, and — when `out_path`
-/// is non-empty — records the re-run into a fresh *sealed* journal there,
-/// conservation ledger and all.
+/// Crash recovery: salvages the longest valid prefix of the journal (sv3
+/// or sv2) at `journal_path` (std::runtime_error when even the header is
+/// gone), re-runs it through the accelerated live engine, and — when
+/// `out_path` is non-empty — records the re-run into a fresh *sealed* sv3
+/// journal there, conservation ledger and all.
 [[nodiscard]] ResumeResult resume_from_journal(const std::string& journal_path,
                                                const std::string& out_path);
 

@@ -4,37 +4,98 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <istream>
 #include <stdexcept>
 
-#include "obs/export.hpp"
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace pushpull::serve {
 
-FrameEncoder& FrameEncoder::number(double x) {
-  obs::append_number(buf_, x);
-  return *this;
+namespace {
+
+constexpr std::uint32_t kCrcPoly = 0x82F63B78u;
+
+constexpr std::array<std::uint32_t, 256> kCrcTable = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrcPoly : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}();
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PUSHPULL_CRC32C_SSE42 1
+
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const char* data, std::size_t n) noexcept {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; data += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, data, sizeof word);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; n > 0; ++data, --n) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*data));
+  }
+  return ~crc32;
+}
+
+[[nodiscard]] bool cpu_has_sse42() noexcept {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2") != 0;
+}
+#endif
+
+}  // namespace
+
+std::uint32_t crc32c_portable(const char* data, std::size_t n) noexcept {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = kCrcTable[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
+          (crc >> 8);
+  }
+  return ~crc;
+}
+
+std::uint32_t crc32c(const char* data, std::size_t n) noexcept {
+#ifdef PUSHPULL_CRC32C_SSE42
+  static const bool hardware = cpu_has_sse42();
+  if (hardware) return crc32c_sse42(data, n);
+#endif
+  return crc32c_portable(data, n);
 }
 
 std::string_view FrameEncoder::finish() {
-  const std::string_view payload =
-      std::string_view(buf_).substr(kFrameDigits + 1);
-  if (payload.find('\n') != std::string_view::npos) {
-    throw std::invalid_argument(
-        "frame_record: payload must not contain a newline");
-  }
-  // Fixed-width lowercase hex length prefix.
-  std::size_t len = payload.size();
-  for (std::size_t i = kFrameDigits; i-- > 0; len >>= 4) {
-    buf_[i] = "0123456789abcdef"[len & 0xF];
-  }
-  if (len > 0) {
+  const std::size_t length = buf_.size() - kMaxLengthBytes;
+  if (length > 0xFFFFFFFFu) {
     throw std::invalid_argument("frame_record: payload too large to frame");
   }
-  buf_ += '\n';
-  return buf_;
+  char head[kMaxLengthBytes];
+  std::size_t n = 0;
+  for (std::size_t v = length; ; v >>= 7) {
+    head[n++] = static_cast<char>(v >= 0x80 ? (v & 0x7F) | 0x80 : v);
+    if (v < 0x80) break;
+  }
+  const std::size_t start = kMaxLengthBytes - n;
+  std::memcpy(buf_.data() + start, head, n);
+  std::uint32_t crc = crc32c(buf_.data() + start, buf_.size() - start);
+  char tail[kCrcBytes];
+  for (char& b : tail) {
+    b = static_cast<char>(crc & 0xFF);
+    crc >>= 8;
+  }
+  buf_.append(tail, kCrcBytes);
+  return std::string_view(buf_).substr(start);
 }
 
 std::string frame_record(std::string_view payload) {
@@ -44,8 +105,12 @@ std::string frame_record(std::string_view payload) {
 
 namespace {
 
+/// Hex digits of an sv2 length prefix.
+constexpr std::size_t kFrameDigits = 8;
 /// Bytes the reader pulls from its stream per read.
 constexpr std::size_t kReadBlock = std::size_t{1} << 18;
+/// The shortest sv3 frame: a one-byte length, no payload, the CRC.
+constexpr std::size_t kMinFrame = 1 + kCrcBytes;
 
 [[nodiscard]] bool hex_value(char c, std::size_t& out) noexcept {
   if (c >= '0' && c <= '9') {
@@ -67,7 +132,7 @@ bool FrameReader::fill(std::size_t need) {
   if (end_ - pos_ >= need) return true;
   // Move the unread tail to the front, then read until `need` bytes are
   // buffered. The buffer grows only as bytes arrive, so a garbled length
-  // prefix cannot make it allocate more than the stream holds.
+  // cannot make it allocate more than the stream holds.
   if (pos_ > 0) {
     std::memmove(buf_.get(), buf_.get() + pos_, end_ - pos_);
     end_ -= pos_;
@@ -96,8 +161,62 @@ bool FrameReader::stop(bool garbled) {
   return false;
 }
 
+bool FrameReader::detect() {
+  detected_ = true;
+  if (!fill(1)) return stop(false);  // an empty stream
+  if (buf_[pos_] != kJournalMagic.front()) {
+    format_ = JournalFormat::kSv2;
+    return true;
+  }
+  if (!fill(kJournalMagic.size()) ||
+      std::string_view(buf_.get() + pos_, kJournalMagic.size()) !=
+          kJournalMagic) {
+    return stop(true);
+  }
+  pos_ += kJournalMagic.size();
+  consumed_ += kJournalMagic.size();
+  return true;
+}
+
 bool FrameReader::next(std::string_view& payload) {
   if (done_) return false;
+  if (!detected_ && !detect()) return false;
+  return format_ == JournalFormat::kSv3 ? next_sv3(payload)
+                                        : next_sv2(payload);
+}
+
+bool FrameReader::next_sv3(std::string_view& payload) {
+  if (!fill(kMinFrame)) {
+    return stop(end_ > pos_);  // clean EOF only at a record boundary
+  }
+  // kMinFrame covers the longest length varint too.
+  static_assert(kMinFrame >= kMaxLengthBytes);
+  const char* head = buf_.get() + pos_;
+  std::size_t length = 0;
+  std::size_t n = 0;
+  for (;;) {
+    if (n == kMaxLengthBytes) return stop(true);
+    const auto byte = static_cast<unsigned char>(head[n]);
+    length |= static_cast<std::size_t>(byte & 0x7F) << (7 * n);
+    ++n;
+    if ((byte & 0x80) == 0) break;
+  }
+  if (length > 0xFFFFFFFFu) return stop(true);
+  const std::size_t frame = n + length + kCrcBytes;
+  if (!fill(frame)) return stop(true);
+  head = buf_.get() + pos_;
+  std::uint32_t stored = 0;
+  for (std::size_t i = kCrcBytes; i-- > 0;) {
+    stored = (stored << 8) | static_cast<unsigned char>(head[n + length + i]);
+  }
+  if (crc32c(head, n + length) != stored) return stop(true);
+  payload = std::string_view(head + n, length);
+  pos_ += frame;
+  consumed_ += frame;
+  return true;
+}
+
+bool FrameReader::next_sv2(std::string_view& payload) {
   constexpr std::size_t kHead = kFrameDigits + 1;
   if (!fill(kHead)) {
     return stop(end_ > pos_);  // clean EOF only at a record boundary

@@ -1,7 +1,6 @@
 #pragma once
 
-#include <charconv>
-#include <concepts>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -15,66 +14,106 @@ namespace pushpull::serve {
 /// The conservation ledger the core keeps and the journal footer seals.
 using ConservationLedger = core::ConservationLedger;
 
-/// --- sv2 journal framing ---------------------------------------------------
+/// --- journal framing -------------------------------------------------------
 ///
-/// An sv2 journal is a sequence of length-prefixed records:
+/// An sv3 journal (the written format) opens with the 8 bytes of
+/// kJournalMagic, then holds a sequence of frames:
 ///
-///   <8 lowercase hex digits: payload byte count> <payload> '\n'
+///   <LEB128 varint: payload byte count> <payload> <CRC32C, 4 bytes LE>
 ///
-/// The payload is one JSON object (the same header/request/decision/footer
-/// payloads the sv1 format used as bare lines). The fixed-width prefix
-/// makes truncation detection exact: a reader accepts a record only when
-/// the full prefix, separator, payload and terminating newline are all
-/// present, so any byte-level truncation or splice cuts the journal at a
-/// record boundary — the crash-recovery contract of `pushpull serve
-/// --resume`.
-inline constexpr std::size_t kFrameDigits = 8;
+/// The CRC covers the length bytes and the payload (the LevelDB/RocksDB
+/// log-record layout), so truncation, a splice and any garbled byte all
+/// end the valid prefix at a record boundary: the crash-recovery contract
+/// of `pushpull serve --resume`.
+///
+/// An sv2 journal (read-only) is a sequence of text frames:
+///
+///   <8 lowercase hex digits: payload byte count> ' ' <payload> '\n'
+///
+/// It is told apart by its leading bytes: the magic's first byte is not a
+/// hex digit. sv2 detects truncation and splices, but not a changed digit
+/// inside a payload.
+inline constexpr std::string_view kJournalMagic{"\x89sv3\r\n\x1a\n", 8};
+/// Bytes an sv3 length varint may take; payloads are below 2^32 bytes.
+inline constexpr std::size_t kMaxLengthBytes = 5;
+inline constexpr std::size_t kCrcBytes = 4;
 
-/// The one sv2 framer. It builds a frame in a buffer it reuses: begin()
-/// reserves the length prefix, the payload is appended in place, and
-/// finish() backfills the prefix and adds the newline. Once the buffer
-/// has grown to the largest record, encoding allocates nothing.
+enum class JournalFormat { kSv2, kSv3 };
+
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) of `n` bytes. Uses
+/// the SSE4.2 instruction when the CPU has it, else crc32c_portable.
+[[nodiscard]] std::uint32_t crc32c(const char* data, std::size_t n) noexcept;
+/// The table-driven CRC32C every host can run; the same values.
+[[nodiscard]] std::uint32_t crc32c_portable(const char* data,
+                                            std::size_t n) noexcept;
+
+/// The one sv3 framer. It builds a frame in a buffer it reuses: begin()
+/// reserves room for the longest length varint, the payload is appended in
+/// place, and finish() writes the length right-aligned in that room and
+/// appends the CRC. Once the buffer has grown to the largest record,
+/// encoding allocates nothing.
 class FrameEncoder {
  public:
   /// Starts a new frame, discarding the previous one.
   FrameEncoder& begin() {
-    buf_.assign(kFrameDigits + 1, ' ');
+    buf_.resize(kMaxLengthBytes);
+    return *this;
+  }
+  FrameEncoder& byte(std::uint8_t b) {
+    buf_.push_back(static_cast<char>(b));
+    return *this;
+  }
+  /// LEB128: 7 bits per byte, low bits first, high bit marks continuation.
+  FrameEncoder& varint(std::uint64_t v) {
+    char bytes[10];
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7) {
+      bytes[n++] = static_cast<char>((v & 0x7F) | 0x80);
+    }
+    bytes[n++] = static_cast<char>(v);
+    buf_.append(bytes, n);
+    return *this;
+  }
+  /// Zigzag-mapped signed varint: small magnitudes of either sign are short.
+  FrameEncoder& zigzag(std::int64_t v) {
+    return varint((static_cast<std::uint64_t>(v) << 1) ^
+                  static_cast<std::uint64_t>(v >> 63));
+  }
+  /// The raw IEEE-754 bits, little-endian: bit-exact, -0.0 and NaN
+  /// payloads included.
+  FrameEncoder& f64(double x) {
+    auto bits = std::bit_cast<std::uint64_t>(x);
+    char bytes[8];
+    for (char& b : bytes) {
+      b = static_cast<char>(bits & 0xFF);
+      bits >>= 8;
+    }
+    buf_.append(bytes, sizeof bytes);
     return *this;
   }
   FrameEncoder& text(std::string_view s) {
     buf_.append(s);
     return *this;
   }
-  /// Decimal integer: no padding, a '-' only for negatives.
-  template <std::integral Int>
-  FrameEncoder& integer(Int v) {
-    char digits[24];
-    const auto res = std::to_chars(digits, digits + sizeof(digits), v);
-    buf_.append(digits, res.ptr);
-    return *this;
-  }
-  /// obs::render_number's shortest round-trip rendering.
-  FrameEncoder& number(double x);
 
-  /// Backfills the prefix and appends the newline. The view holds the
-  /// whole frame and stays valid until the next begin(). Throws
-  /// std::invalid_argument when the payload holds a newline or is too
-  /// large for the prefix.
+  /// Writes the length and appends the CRC. The view holds the whole frame
+  /// and stays valid until the next begin(). Throws std::invalid_argument
+  /// when the payload is 2^32 bytes or longer.
   [[nodiscard]] std::string_view finish();
 
  private:
   std::string buf_;
 };
 
-/// Frames one payload (no embedded newlines allowed; throws
-/// std::invalid_argument otherwise).
+/// Frames one payload as sv3 (without the file magic).
 [[nodiscard]] std::string frame_record(std::string_view payload);
 
-/// The one sv2 frame reader. It pulls the stream in large blocks and hands
+/// The one frame reader, for both formats. It reads the file's leading
+/// bytes to tell sv3 from sv2, pulls the stream in large blocks and hands
 /// out each complete payload as a view into its block, so a scan holds one
-/// block, not the journal. It stops at EOF or at the first malformed or
-/// incomplete frame; bad framing never throws — the valid prefix is the
-/// result.
+/// block, not the journal. It stops at EOF or at the first malformed,
+/// incomplete or corrupt frame; bad framing never throws — the valid
+/// prefix is the result.
 class FrameReader {
  public:
   explicit FrameReader(std::istream& in);
@@ -84,7 +123,9 @@ class FrameReader {
   /// stays valid until the next call.
   [[nodiscard]] bool next(std::string_view& payload);
 
-  /// Length of the valid prefix read so far.
+  /// The file's format; meaningful once next() returned a record.
+  [[nodiscard]] JournalFormat format() const noexcept { return format_; }
+  /// Length of the valid prefix read so far (the sv3 magic included).
   [[nodiscard]] std::uint64_t bytes_consumed() const noexcept {
     return consumed_;
   }
@@ -96,6 +137,10 @@ class FrameReader {
   bool fill(std::size_t need);
   /// Ends the scan; `garbled` marks the stop as truncation.
   bool stop(bool garbled);
+  /// Reads the leading bytes and sets format_.
+  bool detect();
+  bool next_sv3(std::string_view& payload);
+  bool next_sv2(std::string_view& payload);
 
   std::istream& in_;
   std::unique_ptr<char[]> buf_;
@@ -103,6 +148,8 @@ class FrameReader {
   std::size_t pos_ = 0;  // first unread byte
   std::size_t end_ = 0;  // one past the last buffered byte
   std::uint64_t consumed_ = 0;
+  JournalFormat format_ = JournalFormat::kSv3;
+  bool detected_ = false;
   bool eof_ = false;
   bool done_ = false;
   bool truncated_ = false;

@@ -150,7 +150,7 @@ ServeReport LiveServer::finish(const CompletionQueue& queue) {
 }
 
 ServeReport LiveServer::run_accelerated(LoadDriver& driver,
-                                        TraceRecorder* recorder) {
+                                        JournalSink* recorder) {
   recorder_ = recorder;
   CompletionQueue queue(config_.queue_capacity);
   slot_queue_ = &queue;
@@ -188,7 +188,7 @@ ServeReport LiveServer::run_accelerated(LoadDriver& driver,
 
 ServeReport LiveServer::run_realtime(CompletionQueue& queue, Clock& clock,
                                      std::uint64_t planned,
-                                     TraceRecorder* recorder) {
+                                     JournalSink* recorder) {
   recorder_ = recorder;
   slot_queue_ = nullptr;
   core_.begin(planned, 0.0, observer_, this, /*track_queue_depth=*/true);

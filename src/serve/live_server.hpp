@@ -106,7 +106,7 @@ class LiveServer final : private core::DecisionSink {
   /// Drains the driver's whole plan on a virtual clock. `recorder` (may be
   /// null) receives every dispatched arrival and scheduling decision.
   [[nodiscard]] ServeReport run_accelerated(LoadDriver& driver,
-                                            TraceRecorder* recorder);
+                                            JournalSink* recorder);
 
   /// Consumes `planned` arrivals from `queue` (fed by LoadDriver pacers on
   /// `clock`), runs until all are settled (or the drain flushes), then
@@ -114,7 +114,7 @@ class LiveServer final : private core::DecisionSink {
   /// ends.
   [[nodiscard]] ServeReport run_realtime(CompletionQueue& queue, Clock& clock,
                                          std::uint64_t planned,
-                                         TraceRecorder* recorder);
+                                         JournalSink* recorder);
 
   /// Observes the following runs (null = off): the core's trace and
   /// counters, the same vocabulary a DES run emits.
@@ -145,7 +145,7 @@ class LiveServer final : private core::DecisionSink {
 
   ServeConfig config_;
   core::ServerCore core_;
-  TraceRecorder* recorder_ = nullptr;
+  JournalSink* recorder_ = nullptr;
   // The accelerated run's queue, which slot ends pass through; null in
   // realtime, where slots complete on the logical timeline.
   CompletionQueue* slot_queue_ = nullptr;

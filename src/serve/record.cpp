@@ -1,8 +1,11 @@
 #include "serve/record.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -81,8 +84,10 @@ using obs::render_number;
                                         std::string_view key,
                                         std::size_t lineno) {
   const double value = number_field(line, key, lineno);
-  if (value < 0.0 || value != static_cast<double>(
-                                  static_cast<std::uint64_t>(value))) {
+  // The range test comes first: casting a NaN or a value of 2^64 or more
+  // is undefined.
+  if (!(value >= 0.0 && value < 0x1p64) ||
+      value != static_cast<double>(static_cast<std::uint64_t>(value))) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": field \"" + std::string(key) +
                              "\" must be a non-negative integer");
@@ -140,13 +145,18 @@ using obs::render_number;
   return out;
 }
 
-[[nodiscard]] ServeConfig config_from_header(std::string_view line) {
+/// The header of a journal in `format`: its schema tag must name that
+/// format, and the configuration it carries must validate.
+[[nodiscard]] ServeConfig parse_header(std::string_view line,
+                                       JournalFormat format) {
+  const std::string_view expected = format == JournalFormat::kSv3
+                                        ? kServeJournalSchema
+                                        : kServeJournalSchemaV2;
   const std::string schema = string_field(line, "schema", 1);
-  if (schema != kServeTraceSchema && schema != kServeJournalSchema) {
+  if (schema != expected) {
     throw std::runtime_error("serve trace: expected schema \"" +
-                             std::string(kServeTraceSchema) + "\" or \"" +
-                             std::string(kServeJournalSchema) + "\", got \"" +
-                             schema + "\"");
+                             std::string(expected) + "\", got \"" + schema +
+                             "\"");
   }
   ServeConfig c;
   c.seed = count_field(line, "seed", 1);
@@ -167,56 +177,65 @@ using obs::render_number;
   c.pull_policy = pull_policy_from(string_field(line, "pull_policy", 1));
   c.push_policy = push_policy_from(string_field(line, "push_policy", 1));
   c.mean_bandwidth_demand = number_field(line, "mean_demand", 1);
-  if (schema == kServeJournalSchema) {
-    // The v2 header always carries the live failure model, defaults
-    // included, so resume/replay rebuild the exact configuration.
-    c.mean_deadline = number_field(line, "mean_deadline", 1);
-    c.deadline_scale =
-        csv_doubles(string_field(line, "deadline_scale", 1), "deadline_scale");
-    c.deadline_spike_factor = number_field(line, "spike_factor", 1);
-    c.deadline_spike_start = number_field(line, "spike_start", 1);
-    c.deadline_spike_duration = number_field(line, "spike_duration", 1);
-    c.fault.enabled = count_field(line, "fault_enabled", 1) != 0;
-    c.fault.channel.p_good_to_bad = number_field(line, "fault_p_gb", 1);
-    c.fault.channel.p_bad_to_good = number_field(line, "fault_p_bg", 1);
-    c.fault.channel.corrupt_good = number_field(line, "fault_corrupt_good", 1);
-    c.fault.channel.corrupt_bad = number_field(line, "fault_corrupt_bad", 1);
-    c.fault.retry.max_retries =
-        static_cast<std::uint32_t>(count_field(line, "retry_max", 1));
-    c.fault.retry.backoff_base = number_field(line, "retry_base", 1);
-    c.fault.retry.backoff_multiplier = number_field(line, "retry_mult", 1);
-    c.fault.retry.max_backoff = number_field(line, "retry_cap", 1);
-    c.fault.queue_capacity =
-        static_cast<std::size_t>(count_field(line, "fault_queue_cap", 1));
-    c.fault.shed_policy =
-        fault::parse_shed_policy(string_field(line, "shed_policy", 1));
-    c.overload.enabled = count_field(line, "ladder_enabled", 1) != 0;
-    c.overload.eval_interval = number_field(line, "ladder_interval", 1);
-    c.overload.ewma_alpha = number_field(line, "ladder_alpha", 1);
-    c.overload.blocking_ref = number_field(line, "ladder_blocking_ref", 1);
-    c.overload.capacity_ref =
-        static_cast<std::size_t>(count_field(line, "ladder_capacity", 1));
-    c.overload.cutoff_step =
-        static_cast<std::size_t>(count_field(line, "ladder_step", 1));
-    const std::vector<double> enter =
-        csv_doubles(string_field(line, "ladder_enter", 1), "ladder_enter");
-    const std::vector<double> exit =
-        csv_doubles(string_field(line, "ladder_exit", 1), "ladder_exit");
-    if (enter.size() != c.overload.enter.size() ||
-        exit.size() != c.overload.exit.size()) {
-      throw std::runtime_error(
-          "serve trace: ladder_enter/ladder_exit must carry one threshold "
-          "per ladder rung");
-    }
-    std::copy(enter.begin(), enter.end(), c.overload.enter.begin());
-    std::copy(exit.begin(), exit.end(), c.overload.exit.begin());
-    c.hedge_after = number_field(line, "hedge_after", 1);
-    c.drain_after = number_field(line, "drain_after", 1);
-    c.journal_sync_every =
-        static_cast<std::size_t>(count_field(line, "sync_every", 1));
+  // The header always carries the live failure model, defaults included,
+  // so resume/replay rebuild the exact configuration.
+  c.mean_deadline = number_field(line, "mean_deadline", 1);
+  c.deadline_scale =
+      csv_doubles(string_field(line, "deadline_scale", 1), "deadline_scale");
+  c.deadline_spike_factor = number_field(line, "spike_factor", 1);
+  c.deadline_spike_start = number_field(line, "spike_start", 1);
+  c.deadline_spike_duration = number_field(line, "spike_duration", 1);
+  c.fault.enabled = count_field(line, "fault_enabled", 1) != 0;
+  c.fault.channel.p_good_to_bad = number_field(line, "fault_p_gb", 1);
+  c.fault.channel.p_bad_to_good = number_field(line, "fault_p_bg", 1);
+  c.fault.channel.corrupt_good = number_field(line, "fault_corrupt_good", 1);
+  c.fault.channel.corrupt_bad = number_field(line, "fault_corrupt_bad", 1);
+  c.fault.retry.max_retries =
+      static_cast<std::uint32_t>(count_field(line, "retry_max", 1));
+  c.fault.retry.backoff_base = number_field(line, "retry_base", 1);
+  c.fault.retry.backoff_multiplier = number_field(line, "retry_mult", 1);
+  c.fault.retry.max_backoff = number_field(line, "retry_cap", 1);
+  c.fault.queue_capacity =
+      static_cast<std::size_t>(count_field(line, "fault_queue_cap", 1));
+  c.fault.shed_policy =
+      fault::parse_shed_policy(string_field(line, "shed_policy", 1));
+  c.overload.enabled = count_field(line, "ladder_enabled", 1) != 0;
+  c.overload.eval_interval = number_field(line, "ladder_interval", 1);
+  c.overload.ewma_alpha = number_field(line, "ladder_alpha", 1);
+  c.overload.blocking_ref = number_field(line, "ladder_blocking_ref", 1);
+  c.overload.capacity_ref =
+      static_cast<std::size_t>(count_field(line, "ladder_capacity", 1));
+  c.overload.cutoff_step =
+      static_cast<std::size_t>(count_field(line, "ladder_step", 1));
+  const std::vector<double> enter =
+      csv_doubles(string_field(line, "ladder_enter", 1), "ladder_enter");
+  const std::vector<double> exit =
+      csv_doubles(string_field(line, "ladder_exit", 1), "ladder_exit");
+  if (enter.size() != c.overload.enter.size() ||
+      exit.size() != c.overload.exit.size()) {
+    throw std::runtime_error(
+        "serve trace: ladder_enter/ladder_exit must carry one threshold "
+        "per ladder rung");
   }
+  std::copy(enter.begin(), enter.end(), c.overload.enter.begin());
+  std::copy(exit.begin(), exit.end(), c.overload.exit.begin());
+  c.hedge_after = number_field(line, "hedge_after", 1);
+  c.drain_after = number_field(line, "drain_after", 1);
+  c.journal_sync_every =
+      static_cast<std::size_t>(count_field(line, "sync_every", 1));
   c.validate();
   return c;
+}
+
+/// parse_header with every fault reported as malformed input.
+[[nodiscard]] ServeConfig config_from_header(std::string_view line,
+                                             JournalFormat format) {
+  try {
+    return parse_header(line, format);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("serve trace: invalid header: ") +
+                             e.what());
+  }
 }
 
 [[nodiscard]] std::string render_header(const ServeConfig& config) {
@@ -288,7 +307,6 @@ using obs::render_number;
 [[nodiscard]] ConservationLedger ledger_from_footer(std::string_view line,
                                                     std::size_t lineno) {
   ConservationLedger ledger;
-  if (!has_key(line, "ledger")) return ledger;  // sv1 footers carry none
   ledger.injected = count_field(line, "injected", lineno);
   ledger.delivered = count_field(line, "delivered", lineno);
   ledger.timed_out = count_field(line, "timed_out", lineno);
@@ -301,14 +319,46 @@ using obs::render_number;
 
 enum class PayloadKind { kRequest, kDecision, kFooter };
 
-/// Parses one body payload into `run`, throwing std::runtime_error on any
-/// malformed content. `lineno` is 1-based (header = 1).
-PayloadKind apply_payload(RecordedRun& run, std::uint64_t& decisions,
-                          std::string_view line, std::size_t lineno) {
-  if (line.empty()) {
-    throw std::runtime_error("serve trace line " + std::to_string(lineno) +
-                             ": empty record");
+[[noreturn]] void throw_record(std::size_t record, const std::string& what) {
+  throw std::runtime_error("serve trace record " + std::to_string(record) +
+                           ": " + what);
+}
+
+/// Appends one request after the range checks both formats share.
+void add_request(RecordedRun& run, const workload::Request& r,
+                 std::uint64_t item, std::uint64_t cls, std::size_t record) {
+  if (!std::isfinite(r.arrival)) {
+    throw_record(record, "arrival time is not finite");
   }
+  if (item >= run.config.num_items) {
+    throw_record(record, "item beyond the recorded catalog");
+  }
+  if (cls >= run.config.num_classes) {
+    throw_record(record, "class beyond the recorded population");
+  }
+  run.requests.push_back(r);
+}
+
+/// The footer check both formats share: the counts must match the records
+/// read.
+void check_footer(const RecordedRun& run, std::uint64_t decisions,
+                  std::string_view line, std::size_t record) {
+  const std::uint64_t requests = count_field(line, "requests", record);
+  const std::uint64_t footer_decisions = count_field(line, "decisions", record);
+  if (requests != run.requests.size() || footer_decisions != decisions) {
+    throw std::runtime_error(
+        "serve trace: footer counts (" + std::to_string(requests) + "/" +
+        std::to_string(footer_decisions) + ") disagree with records read (" +
+        std::to_string(run.requests.size()) + "/" +
+        std::to_string(decisions) + ") — truncated or spliced file");
+  }
+}
+
+/// Parses one sv2 body payload into `run`, throwing std::runtime_error on
+/// any malformed content. `lineno` is 1-based (header = 1).
+PayloadKind apply_sv2(RecordedRun& run, std::uint64_t& decisions,
+                      std::string_view line, std::size_t lineno) {
+  if (line.empty()) throw_record(lineno, "empty record");
   if (has_key(line, "d")) {
     // Decision records are informational; count them for the footer check.
     (void)number_field(line, "t", lineno);
@@ -319,94 +369,193 @@ PayloadKind apply_payload(RecordedRun& run, std::uint64_t& decisions,
     workload::Request r;
     r.arrival = number_field(line, "t", lineno);
     r.id = count_field(line, "id", lineno);
-    r.item = static_cast<catalog::ItemId>(count_field(line, "item", lineno));
-    r.cls = static_cast<workload::ClassId>(count_field(line, "cls", lineno));
-    if (r.item >= run.config.num_items) {
-      throw std::runtime_error("serve trace line " + std::to_string(lineno) +
-                               ": item beyond the recorded catalog");
-    }
-    if (r.cls >= run.config.num_classes) {
-      throw std::runtime_error("serve trace line " + std::to_string(lineno) +
-                               ": class beyond the recorded population");
-    }
-    run.requests.push_back(r);
+    const std::uint64_t item = count_field(line, "item", lineno);
+    const std::uint64_t cls = count_field(line, "cls", lineno);
+    r.item = static_cast<catalog::ItemId>(item);
+    r.cls = static_cast<workload::ClassId>(cls);
+    add_request(run, r, item, cls, lineno);
     return PayloadKind::kRequest;
   }
   if (has_key(line, "requests")) {
-    const std::uint64_t requests = count_field(line, "requests", lineno);
-    const std::uint64_t footer_decisions =
-        count_field(line, "decisions", lineno);
-    if (requests != run.requests.size() || footer_decisions != decisions) {
-      throw std::runtime_error(
-          "serve trace: footer counts (" + std::to_string(requests) + "/" +
-          std::to_string(footer_decisions) + ") disagree with records read (" +
-          std::to_string(run.requests.size()) + "/" +
-          std::to_string(decisions) + ") — truncated or spliced file");
-    }
+    check_footer(run, decisions, line, lineno);
     run.ledger = ledger_from_footer(line, lineno);
     return PayloadKind::kFooter;
   }
-  throw std::runtime_error("serve trace line " + std::to_string(lineno) +
-                           ": unrecognized record");
+  throw_record(lineno, "unrecognized record");
+}
+
+/// Parses one sv3 body payload into `run`: a binary record, or the JSON
+/// footer.
+PayloadKind apply_sv3(RecordedRun& run, RecordDecoder& decoder,
+                      std::uint64_t& decisions, std::string_view payload,
+                      std::size_t record) {
+  if (!payload.empty() && payload.front() == '{') {
+    if (!has_key(payload, "requests")) {
+      throw_record(record, "unrecognized record");
+    }
+    check_footer(run, decisions, payload, record);
+    run.ledger = ledger_from_footer(payload, record);
+    return PayloadKind::kFooter;
+  }
+  JournalRecord rec;
+  try {
+    rec = decoder.decode(payload);
+  } catch (const std::runtime_error& e) {
+    throw_record(record, e.what());
+  }
+  if (rec.kind == RecordKind::kRequest) {
+    workload::Request r;
+    r.arrival = rec.time;
+    r.id = rec.id;
+    r.item = static_cast<catalog::ItemId>(rec.item);
+    r.cls = static_cast<workload::ClassId>(rec.cls);
+    add_request(run, r, rec.item, rec.cls, record);
+    return PayloadKind::kRequest;
+  }
+  if ((rec.kind == RecordKind::kPush || rec.kind == RecordKind::kPull) &&
+      rec.item >= run.config.num_items) {
+    throw_record(record, "item beyond the recorded catalog");
+  }
+  ++decisions;
+  return PayloadKind::kDecision;
+}
+
+/// Parses one body payload of a journal in `format`.
+PayloadKind apply_payload(RecordedRun& run, RecordDecoder& decoder,
+                          std::uint64_t& decisions, std::string_view payload,
+                          std::size_t record, JournalFormat format) {
+  return format == JournalFormat::kSv3
+             ? apply_sv3(run, decoder, decisions, payload, record)
+             : apply_sv2(run, decisions, payload, record);
 }
 
 void sort_requests(RecordedRun& run) {
   // Realtime pacers may interleave posts; Trace requires sorted arrivals.
-  std::sort(run.requests.begin(), run.requests.end(),
-            [](const workload::Request& a, const workload::Request& b) {
-              return a.arrival != b.arrival ? a.arrival < b.arrival
-                                            : a.id < b.id;
-            });
+  // Accelerated journals are already in order.
+  const auto by_arrival = [](const workload::Request& a,
+                             const workload::Request& b) {
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.id < b.id;
+  };
+  if (!std::is_sorted(run.requests.begin(), run.requests.end(), by_arrival)) {
+    std::sort(run.requests.begin(), run.requests.end(), by_arrival);
+  }
 }
 
-[[nodiscard]] RecordedRun load_trace_v1(std::istream& in, std::string line) {
-  RecordedRun run;
-  run.config = config_from_header(line);
-  bool saw_footer = false;
-  std::uint64_t decisions = 0;
-  std::size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (saw_footer) {
-      throw std::runtime_error("serve trace line " + std::to_string(lineno) +
-                               ": content after the footer");
+/// A bounds-checked read cursor over one binary payload.
+class PayloadCursor {
+ public:
+  explicit PayloadCursor(std::string_view payload)
+      : p_(payload.data()), end_(payload.data() + payload.size()) {}
+
+  std::uint8_t byte() {
+    if (p_ == end_) throw std::runtime_error("record ends inside a field");
+    return static_cast<std::uint8_t>(*p_++);
+  }
+  double f64() {
+    if (end_ - p_ < 8) throw std::runtime_error("record ends inside a time");
+    std::uint64_t bits = 0;
+    for (int i = 7; i >= 0; --i) {
+      bits = (bits << 8) | static_cast<unsigned char>(p_[i]);
     }
-    if (apply_payload(run, decisions, line, lineno) == PayloadKind::kFooter) {
-      saw_footer = true;
+    p_ += 8;
+    return std::bit_cast<double>(bits);
+  }
+  std::uint64_t varint() {
+    std::uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t b = byte();
+      // The tenth byte carries bit 63 alone and ends the varint.
+      if (shift == 63 && b > 1) {
+        throw std::runtime_error("varint overflows 64 bits");
+      }
+      value |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) == 0) return value;
     }
   }
-  if (!saw_footer) {
-    throw std::runtime_error(
-        "serve trace: missing footer record — truncated recording");
+  std::int64_t zigzag() {
+    const std::uint64_t v = varint();
+    return static_cast<std::int64_t>(v >> 1) ^
+           -static_cast<std::int64_t>(v & 1);
   }
-  sort_requests(run);
-  run.decisions = decisions;
-  return run;
+  [[nodiscard]] bool done() const noexcept { return p_ == end_; }
+
+ private:
+  const char* p_;
+  const char* end_;
+};
+
+[[nodiscard]] int ladder_level(std::int64_t v) {
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("ladder level beyond int");
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
 
+JournalRecord RecordDecoder::decode(std::string_view payload) {
+  PayloadCursor in(payload);
+  JournalRecord r;
+  const std::uint8_t kind = in.byte();
+  if (kind < static_cast<std::uint8_t>(RecordKind::kRequest) ||
+      kind > static_cast<std::uint8_t>(RecordKind::kDrain)) {
+    throw std::runtime_error("unrecognized record kind " +
+                             std::to_string(kind));
+  }
+  r.kind = static_cast<RecordKind>(kind);
+  r.time = in.f64();
+  switch (r.kind) {
+    case RecordKind::kRequest:
+      r.id = prev_id_ + static_cast<std::uint64_t>(in.zigzag());
+      r.item = in.varint();
+      r.cls = in.varint();
+      break;
+    case RecordKind::kPush:
+    case RecordKind::kPull:
+      r.item = in.varint();
+      r.n = in.varint();
+      break;
+    case RecordKind::kLadder:
+      r.from = ladder_level(in.zigzag());
+      r.to = ladder_level(in.zigzag());
+      break;
+    case RecordKind::kDrain:
+      r.n = in.varint();
+      break;
+  }
+  if (!in.done()) throw std::runtime_error("bytes left after the record");
+  if (r.kind == RecordKind::kRequest) prev_id_ = r.id;
+  return r;
+}
+
 TraceRecorder::TraceRecorder(std::ostream& out, const ServeConfig& config)
     : out_(&out) {
-  frame_.begin().text(render_header(config));
-  emit();
+  start(config);
 }
 
 TraceRecorder::TraceRecorder(JournalFile& file, const ServeConfig& config)
     : file_(&file), sync_every_(config.journal_sync_every) {
+  start(config);
+}
+
+void TraceRecorder::start(const ServeConfig& config) {
+  write(kJournalMagic);
   frame_.begin().text(render_header(config));
   emit();
 }
 
-void TraceRecorder::emit() {
-  const std::string_view frame = frame_.finish();
+void TraceRecorder::write(std::string_view bytes) {
   if (file_ == nullptr) {
-    out_->write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    return;
+    out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  } else {
+    file_->append(bytes);
   }
-  file_->append(frame);
-  if (sync_every_ > 0 && ++since_sync_ >= sync_every_) {
+}
+
+void TraceRecorder::emit() {
+  write(frame_.finish());
+  if (file_ != nullptr && sync_every_ > 0 && ++since_sync_ >= sync_every_) {
     since_sync_ = 0;
     file_->sync();
   }
@@ -415,15 +564,12 @@ void TraceRecorder::emit() {
 void TraceRecorder::record_request(const workload::Request& request,
                                    double observed_time) {
   frame_.begin()
-      .text("{\"t\":")
-      .number(observed_time)
-      .text(",\"id\":")
-      .integer(request.id)
-      .text(",\"item\":")
-      .integer(request.item)
-      .text(",\"cls\":")
-      .integer(request.cls)
-      .text("}");
+      .byte(static_cast<std::uint8_t>(RecordKind::kRequest))
+      .f64(observed_time)
+      .zigzag(static_cast<std::int64_t>(request.id - prev_id_))
+      .varint(request.item)
+      .varint(request.cls);
+  prev_id_ = request.id;
   emit();
   ++requests_;
 }
@@ -432,37 +578,30 @@ void TraceRecorder::record_decision(bool push, double time,
                                     catalog::ItemId item,
                                     std::size_t delivered) {
   frame_.begin()
-      .text(push ? "{\"d\":\"push\",\"t\":" : "{\"d\":\"pull\",\"t\":")
-      .number(time)
-      .text(",\"item\":")
-      .integer(item)
-      .text(",\"n\":")
-      .integer(delivered)
-      .text("}");
+      .byte(static_cast<std::uint8_t>(push ? RecordKind::kPush
+                                           : RecordKind::kPull))
+      .f64(time)
+      .varint(item)
+      .varint(delivered);
   emit();
   ++decisions_;
 }
 
 void TraceRecorder::record_ladder(double time, int from, int to) {
   frame_.begin()
-      .text("{\"d\":\"ladder\",\"t\":")
-      .number(time)
-      .text(",\"from\":")
-      .integer(from)
-      .text(",\"to\":")
-      .integer(to)
-      .text("}");
+      .byte(static_cast<std::uint8_t>(RecordKind::kLadder))
+      .f64(time)
+      .zigzag(from)
+      .zigzag(to);
   emit();
   ++decisions_;
 }
 
 void TraceRecorder::record_drain(double time, std::uint64_t skipped) {
   frame_.begin()
-      .text("{\"d\":\"drain\",\"t\":")
-      .number(time)
-      .text(",\"n\":")
-      .integer(skipped)
-      .text("}");
+      .byte(static_cast<std::uint8_t>(RecordKind::kDrain))
+      .f64(time)
+      .varint(skipped);
   emit();
   ++decisions_;
 }
@@ -484,17 +623,8 @@ void TraceRecorder::finish() { seal(ConservationLedger{}); }
 TraceRecorder::~TraceRecorder() { finish(); }
 
 RecordedRun load_trace(std::istream& in) {
-  const int first = in.peek();
-  if (first == std::istream::traits_type::eof()) {
+  if (in.peek() == std::istream::traits_type::eof()) {
     throw std::runtime_error("serve trace: empty input (no header record)");
-  }
-  if (first == '{') {
-    // Legacy sv1: plain JSONL, header on the first line.
-    std::string line;
-    if (!std::getline(in, line)) {
-      throw std::runtime_error("serve trace: empty input (no header record)");
-    }
-    return load_trace_v1(in, std::move(line));
   }
   FrameReader reader(in);
   std::string_view payload;
@@ -508,18 +638,18 @@ RecordedRun load_trace(std::istream& in) {
         "serve trace: garbled or truncated journal framing — use recovery "
         "(serve --resume) to salvage the valid prefix");
   };
+  const JournalFormat format = reader.format();
   RecordedRun run;
+  RecordDecoder decoder;
   bool saw_footer = false;
   std::uint64_t decisions = 0;
   try {
-    run.config = config_from_header(payload);
+    run.config = config_from_header(payload, format);
     for (std::size_t record = 2; reader.next(payload); ++record) {
       if (saw_footer) {
-        throw std::runtime_error("serve trace record " +
-                                 std::to_string(record) +
-                                 ": content after the footer");
+        throw_record(record, "content after the footer");
       }
-      if (apply_payload(run, decisions, payload, record) ==
+      if (apply_payload(run, decoder, decisions, payload, record, format) ==
           PayloadKind::kFooter) {
         saw_footer = true;
       }
@@ -558,17 +688,20 @@ RecoveredRun recover_trace(std::istream& in) {
         "serve recovery: no complete record — the header itself is "
         "truncated, nothing to recover");
   }
+  const JournalFormat format = reader.format();
   RecoveredRun recovered;
-  recovered.run.config = config_from_header(payload);
+  recovered.run.config = config_from_header(payload, format);
   recovered.records = 1;
   recovered.bytes_consumed = reader.bytes_consumed();
+  RecordDecoder decoder;
   std::uint64_t decisions = 0;
   for (std::size_t record = 2; reader.next(payload); ++record) {
     const std::size_t before_requests = recovered.run.requests.size();
     const std::uint64_t before_decisions = decisions;
     PayloadKind kind;
     try {
-      kind = apply_payload(recovered.run, decisions, payload, record);
+      kind = apply_payload(recovered.run, decoder, decisions, payload, record,
+                           format);
     } catch (const std::runtime_error&) {
       // An intact frame with an unparsable payload ends the valid prefix —
       // everything before it is still good.

@@ -11,9 +11,11 @@
 ///   serve_config.hpp     one run's workload/scheduler/serving knobs plus
 ///                        the live failure model
 ///   load_driver.hpp      seeded open-loop load, planned upfront
-///   journal.hpp          sv2 framed journal: conservation ledger, length
-///                        prefixes, truncation-exact scanning, fsync sink
-///   record.hpp           sv1/sv2 trace codec + crash recovery
+///   journal.hpp          journal framing: sv3 CRC32C frames (written),
+///                        sv2 hex-length frames (read-only), the streaming
+///                        frame reader, the fsync sink
+///   record.hpp           journal record codec (sv3 written, sv2
+///                        read-only) + crash recovery
 ///   live_server.hpp      the completion-queue event loop around the
 ///                        HybridServer scheduling rules
 ///   replay.hpp           recorded trace → deterministic engine (DES or

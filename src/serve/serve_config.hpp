@@ -78,10 +78,10 @@ struct ServeConfig : core::LiveExtensions {
   /// the DES consumes, applied to the live loop. Defaults are inert.
   fault::FaultConfig fault;
   /// Overload degradation ladder (shed-low → widen-push →
-  /// admission-control → brownout); transitions are stamped into the sv2
-  /// decision log. Defaults off.
+  /// admission-control → brownout); transitions are stamped into the
+  /// journal's decision log. Defaults off.
   resilience::OverloadConfig overload;
-  /// v2 journal: fsync after this many appended records when recording to
+  /// Journal: fsync after this many appended records when recording to
   /// a file-backed JournalFile (0 = sync only at seal).
   std::size_t journal_sync_every = 64;
 

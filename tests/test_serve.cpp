@@ -4,6 +4,7 @@
 // into the deterministic DES core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -11,9 +12,13 @@
 
 #include "core/hybrid_server.hpp"
 #include "serve/serve.hpp"
+#include "serve_journal_util.hpp"
 
 namespace pushpull::serve {
 namespace {
+
+using testing_util::journal_payloads;
+using testing_util::sv3_journal;
 
 // ---------------------------------------------------------------------------
 // Clock backends
@@ -421,62 +426,73 @@ TEST(TraceLoader, RejectsEmptyInput) {
 }
 
 TEST(TraceLoader, RejectsWrongSchema) {
-  std::istringstream in("{\"schema\":\"sv999\",\"seed\":1}\n");
-  EXPECT_THROW((void)load_trace(in), std::runtime_error);
-}
-
-// Every payload of a complete journal, in order.
-std::vector<std::string> journal_payloads(const std::string& journal) {
-  std::istringstream in(journal);
-  FrameReader reader(in);
-  std::vector<std::string> payloads;
-  for (std::string_view payload; reader.next(payload);) {
-    payloads.emplace_back(payload);
+  const auto load = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    return load_trace(in);
+  };
+  // Neither format's leading bytes.
+  EXPECT_THROW((void)load("{\"schema\":\"sv999\",\"seed\":1}\n"),
+               std::runtime_error);
+  // An sv3 frame whose header names an unknown schema, or the other
+  // format's.
+  for (const std::string schema : {"sv999", "sv2", "sv1"}) {
+    std::string header = journal_payloads(run_accelerated(small_config())
+                                              .trace)
+                             .front();
+    header.replace(header.find("\"sv3\""), 5, "\"" + schema + "\"");
+    EXPECT_THROW((void)load(sv3_journal({header})), std::runtime_error)
+        << schema;
   }
-  EXPECT_FALSE(reader.truncated());
-  EXPECT_EQ(reader.bytes_consumed(), journal.size());
-  return payloads;
 }
 
 TEST(TraceLoader, RejectsTruncatedRecording) {
   const AcceleratedRun recorded = run_accelerated(small_config());
   // Drop the sealing footer record (the journal is framed — splice at a
   // record boundary so only the *seal* is missing, not the framing).
-  const std::vector<std::string> payloads = journal_payloads(recorded.trace);
+  std::vector<std::string> payloads = journal_payloads(recorded.trace);
   ASSERT_GE(payloads.size(), 2u);
-  std::string unsealed;
-  for (std::size_t i = 0; i + 1 < payloads.size(); ++i) {
-    unsealed += frame_record(payloads[i]);
-  }
-  std::istringstream in(unsealed);
+  payloads.pop_back();
+  std::istringstream in(sv3_journal(payloads));
   EXPECT_THROW((void)load_trace(in), std::runtime_error);
 }
 
 TEST(TraceLoader, RejectsFooterCountMismatch) {
   const AcceleratedRun recorded = run_accelerated(small_config());
   // Remove one framed request record; the footer now over-counts.
-  std::string spliced;
-  bool removed = false;
-  for (const std::string& payload : journal_payloads(recorded.trace)) {
-    if (!removed && payload.rfind("{\"t\":", 0) == 0 &&
-        payload.find("\"id\":") != std::string::npos) {
-      removed = true;
-      continue;
-    }
-    spliced += frame_record(payload);
-  }
-  ASSERT_TRUE(removed);
-  std::istringstream in(spliced);
+  std::vector<std::string> payloads = journal_payloads(recorded.trace);
+  const auto request = std::find_if(
+      payloads.begin(), payloads.end(), [](const std::string& payload) {
+        return payload.front() == static_cast<char>(RecordKind::kRequest);
+      });
+  ASSERT_NE(request, payloads.end());
+  payloads.erase(request);
+  std::istringstream in(sv3_journal(payloads));
   EXPECT_THROW((void)load_trace(in), std::runtime_error);
 }
 
 TEST(TraceLoader, RejectsGarbledLines) {
   const AcceleratedRun recorded = run_accelerated(small_config());
-  const std::size_t insert_at = recorded.trace.find('\n') + 1;
+  const auto load = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    return load_trace(in);
+  };
+  // A well-framed payload that is no record.
+  std::vector<std::string> payloads = journal_payloads(recorded.trace);
+  payloads.insert(payloads.begin() + 1, "not a record");
+  EXPECT_THROW((void)load(sv3_journal(payloads)), std::runtime_error);
+  // Raw bytes between two frames.
+  std::istringstream header_in(recorded.trace);
+  FrameReader reader(header_in);
+  std::string_view header;
+  ASSERT_TRUE(reader.next(header));
+  const auto after_header = static_cast<std::size_t>(reader.bytes_consumed());
   std::string garbled = recorded.trace;
-  garbled.insert(insert_at, "not json at all\n");
-  std::istringstream in(garbled);
-  EXPECT_THROW((void)load_trace(in), std::runtime_error);
+  garbled.insert(after_header, "not a frame at all\n");
+  EXPECT_THROW((void)load(garbled), std::runtime_error);
+  // One changed bit in the first record's time: the CRC catches it.
+  std::string flipped = recorded.trace;
+  flipped[after_header + 3] = static_cast<char>(flipped[after_header + 3] ^ 1);
+  EXPECT_THROW((void)load(flipped), std::runtime_error);
 }
 
 TEST(TraceLoader, RejectsItemsBeyondTheRecordedCatalog) {

@@ -1,6 +1,6 @@
 // Tests for the live failure model (DESIGN §10): per-request deadlines
 // against the DES impatience model, retry/loss on the burst-error channel,
-// hedged re-requests, the overload ladder, the sv2 crash-consistent
+// hedged re-requests, the overload ladder, the sv3 crash-consistent
 // journal (recovery at every byte offset, kill -> resume -> replay
 // bit-exactness), graceful drain, the machine-checked conservation
 // identity over a seeded chaos property suite, and the completion queue's
@@ -20,6 +20,7 @@
 #include "core/hybrid_server.hpp"
 #include "obs/export.hpp"
 #include "serve/serve.hpp"
+#include "serve_journal_util.hpp"
 
 namespace pushpull::serve {
 namespace {
@@ -28,37 +29,12 @@ namespace {
 // Helpers
 // ---------------------------------------------------------------------------
 
-ServeConfig robust_base() {
-  ServeConfig c;
-  c.num_items = 40;
-  c.num_classes = 3;
-  c.cutoff = 12;
-  c.duration = 10.0;
-  c.target_qps = 6.0;
-  c.seed = 20050614;
-  c.accelerated = true;
-  return c;
-}
-
-struct JournaledRun {
-  ServeReport report;
-  std::string trace;
-};
-
-JournaledRun run_journaled(const ServeConfig& c) {
-  const auto cat = c.build_catalog();
-  const auto pop = c.build_population();
-  LoadDriver driver(cat, pop, c.target_qps, c.duration, c.seed);
-  std::ostringstream out;
-  JournaledRun run;
-  {
-    TraceRecorder recorder(out, c);
-    LiveServer server(cat, pop, c);
-    run.report = server.run_accelerated(driver, &recorder);
-  }
-  run.trace = out.str();
-  return run;
-}
+using testing_util::journal_records;
+using testing_util::JournaledRun;
+using testing_util::MatrixCase;
+using testing_util::robust_base;
+using testing_util::run_journaled;
+using testing_util::serve_matrix;
 
 ServeReport run_plain(const ServeConfig& c) {
   const auto cat = c.build_catalog();
@@ -82,6 +58,15 @@ std::string fingerprint(const std::vector<metrics::ClassStats>& stats) {
         << '\n';
   }
   return out.str();
+}
+
+// Binary records of `kind` in a complete journal.
+std::size_t count_kind(const std::string& journal, RecordKind kind) {
+  std::size_t n = 0;
+  for (const JournalRecord& r : journal_records(journal)) {
+    if (r.kind == kind) ++n;
+  }
+  return n;
 }
 
 // First record's framed length — a cut below this loses the header.
@@ -250,7 +235,8 @@ TEST(LiveLadder, TransitionsAreOrderedAndJournaled) {
     EXPECT_LE(run.report.overload_transitions[i - 1].time,
               run.report.overload_transitions[i].time);
   }
-  EXPECT_NE(run.trace.find("\"d\":\"ladder\""), std::string::npos);
+  EXPECT_EQ(count_kind(run.trace, RecordKind::kLadder),
+            run.report.ladder_transitions);
   EXPECT_TRUE(run.report.ledger.balanced());
 }
 
@@ -267,13 +253,8 @@ TEST(LiveLadder, ReportExportsTheFullTransitionLog) {
   c.mean_deadline = 12.0;
   const JournaledRun run = run_journaled(c);
   ASSERT_GT(run.report.overload_transitions.size(), 1u);
-  std::size_t journaled = 0;
-  for (std::size_t at = run.trace.find("\"d\":\"ladder\"");
-       at != std::string::npos;
-       at = run.trace.find("\"d\":\"ladder\"", at + 1)) {
-    ++journaled;
-  }
-  EXPECT_EQ(run.report.overload_transitions.size(), journaled);
+  EXPECT_EQ(run.report.overload_transitions.size(),
+            count_kind(run.trace, RecordKind::kLadder));
   std::istringstream in(run.trace);
   const auto replayed = replay(load_trace(in));
   ASSERT_EQ(replayed.size(), 1u);
@@ -307,7 +288,7 @@ TEST(LiveDrain, DrainAfterStopsAdmissionAndBalancesTheLedger) {
   EXPECT_EQ(run.report.drain_time, 10.0);
   EXPECT_GT(run.report.skipped_arrivals, 0u);
   EXPECT_TRUE(run.report.ledger.balanced());
-  EXPECT_NE(run.trace.find("\"d\":\"drain\""), std::string::npos);
+  EXPECT_EQ(count_kind(run.trace, RecordKind::kDrain), 1u);
   // The sealed footer carries the same ledger the report does.
   std::istringstream in(run.trace);
   const RecordedRun loaded = load_trace(in);
@@ -315,7 +296,7 @@ TEST(LiveDrain, DrainAfterStopsAdmissionAndBalancesTheLedger) {
 }
 
 // ---------------------------------------------------------------------------
-// sv2 journal: header round trip, recovery, resume, replay
+// sv3 journal: header round trip, recovery, resume, replay
 // ---------------------------------------------------------------------------
 
 TEST(Journal, HeaderRoundTripsTheFullFailureModel) {
@@ -535,73 +516,6 @@ TEST(Conservation, HoldsExactlyAcross500SeededChaosCases) {
 // ---------------------------------------------------------------------------
 // The live engine pinned: one golden line per (config, cutoff)
 // ---------------------------------------------------------------------------
-
-struct MatrixCase {
-  std::string name;
-  ServeConfig config;
-};
-
-/// The serve-golden matrix: every live mechanism on its own, plus the
-/// chaos profile's cocktail, each across pure-pull, hybrid and pure-push
-/// cutoffs (the catalog has 40 items).
-std::vector<MatrixCase> serve_matrix() {
-  std::vector<MatrixCase> cases;
-  for (const std::size_t cutoff : {std::size_t{0}, std::size_t{12},
-                                   std::size_t{40}}) {
-    ServeConfig base = robust_base();
-    base.cutoff = cutoff;
-    base.duration = 30.0;
-    base.target_qps = 8.0;
-    const std::string at = "@" + std::to_string(cutoff);
-
-    cases.push_back({"plain" + at, base});
-
-    ServeConfig deadline = base;
-    deadline.mean_deadline = 5.0;
-    cases.push_back({"deadline" + at, deadline});
-
-    ServeConfig scaled = deadline;
-    scaled.deadline_scale = {2.0, 1.0, 0.5};
-    scaled.deadline_spike_factor = 0.3;
-    scaled.deadline_spike_start = 6.0;
-    scaled.deadline_spike_duration = 5.0;
-    cases.push_back({"scaled_spike" + at, scaled});
-
-    ServeConfig fault = base;
-    fault.mean_deadline = 9.0;
-    fault.fault.enabled = true;
-    fault.fault.channel.p_good_to_bad = 0.3;
-    fault.fault.channel.p_bad_to_good = 0.3;
-    fault.fault.channel.corrupt_good = 0.05;
-    fault.fault.channel.corrupt_bad = 0.8;
-    fault.fault.retry.max_retries = 2;
-    fault.fault.retry.backoff_base = 0.5;
-    fault.fault.queue_capacity = 12;
-    fault.fault.shed_policy = fault::ShedPolicy::kDropLowestPriority;
-    cases.push_back({"fault" + at, fault});
-
-    ServeConfig ladder = base;
-    ladder.target_qps = 12.0;
-    ladder.mean_deadline = 12.0;
-    ladder.overload.enabled = true;
-    ladder.overload.eval_interval = 1.0;
-    ladder.overload.capacity_ref = 8;
-    cases.push_back({"ladder" + at, ladder});
-
-    ServeConfig hedge = base;
-    hedge.mean_deadline = 8.0;
-    hedge.hedge_after = 1.5;
-    cases.push_back({"hedge" + at, hedge});
-
-    ServeConfig drain = base;
-    drain.mean_deadline = 6.0;
-    drain.drain_after = 8.0;
-    cases.push_back({"drain" + at, drain});
-
-    cases.push_back({"chaos" + at, chaos_profile(base)});
-  }
-  return cases;
-}
 
 std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -915,7 +915,7 @@ extern "C" void on_sigterm(int) { g_drain_requested.store(true); }
 
 // Shared body of `pushpull serve` and `pushpull loadtest`: build (or load)
 // the plan, run the live server on the virtual or wall clock, print the
-// deterministic report, optionally recording a crash-consistent sv2
+// deterministic report, optionally recording a crash-consistent sv3
 // journal for replay/resume.
 int run_live(serve::ServeConfig config, const std::string& record_path,
              const std::string& from_trace, const char* cmd,
@@ -1132,7 +1132,7 @@ int cmd_replay(const exp::ArgParser& args) {
   }
   if (path.empty()) {
     std::cerr << "replay: need a recorded trace "
-                 "(pushpull replay TRACE.jsonl, or --in FILE)\n";
+                 "(pushpull replay TRACE.svj, or --in FILE)\n";
     return 2;
   }
   const serve::RecordedRun run = serve::load_trace_file(path);
@@ -1180,7 +1180,7 @@ commands:
                resume/replay harness (exit 1 on any replay mismatch)
   loadtest     measurement run of the live server; --accelerated drives the
                identical event loop on a virtual clock (fast, seeded,
-               bit-reproducible), --record FILE captures an sv2 journal
+               bit-reproducible), --record FILE captures an sv3 journal
   replay       feed a recorded trace back through the DES driver of the
                scheduling core (pushpull replay TRACE [--reps R] [--jobs
                N]); rep 0 re-runs the recorded seed bit-exactly
@@ -1274,10 +1274,10 @@ live serving (serve / loadtest / replay):
                requests exist
   --queue-capacity N   completion-queue bound; a full queue backpressures
                the pacers (default 1024)
-  --record FILE    write the run as a crash-consistent sv2 journal (framed
-               header + requests + decisions + sealed ledger footer) — the
-               input to `pushpull replay` and `serve --resume`; sv1 JSONL
-               traces from older builds still load
+  --record FILE    write the run as a crash-consistent sv3 journal (CRC32C
+               frames: header + binary requests and decisions + sealed
+               ledger footer) — the input to `pushpull replay` and
+               `serve --resume`; sv2 journals from older builds still load
   --from-trace FILE    re-offer a recorded trace as the load plan instead of
                synthesizing one (workload + scheduler come from the file)
   --classes N  service classes in the synthesized population (default 3)
