@@ -1000,7 +1000,9 @@ void ServerCore::finish() {
 SimResult ServerCore::result() const {
   const double end = end_time();
   SimResult result;
+  // Both reads join their fold helpers: no thread outlives the result.
   result.per_class = collector_->all();
+  if (queue_depth_) (void)queue_depth_->folded();
   result.end_time = end;
   result.push_transmissions = push_transmissions_;
   result.pull_transmissions = pull_transmissions_;

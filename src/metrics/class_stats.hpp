@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "metrics/fold_pipe.hpp"
 #include "metrics/p2_quantile.hpp"
 #include "metrics/welford.hpp"
 
@@ -115,23 +117,83 @@ struct ClassStats {
   }
 };
 
+/// The streamed waiting-time estimators of ClassStats, for one class.
+struct ServedFolds {
+  Welford wait;
+  P2Quantile wait_p50{0.50};
+  P2Quantile wait_p95{0.95};
+  P2Quantile wait_p99{0.99};
+  Welford gap;
+  P2Quantile gap_p99{0.99};
+};
+
+/// One delivery as ClassCollector records it: 24 bytes.
+struct ServedSample {
+  double wait;
+  double gap;
+  ClassId cls;
+  bool has_gap;
+};
+static_assert(sizeof(ServedSample) == 24);
+
+/// Folds ServedSamples into per-class estimators.
+struct ServedFolder {
+  explicit ServedFolder(std::size_t num_classes) : folds(num_classes) {}
+
+  void add(const ServedSample& s) {
+    ServedFolds& f = folds[s.cls];
+    f.wait.add(s.wait);
+    f.wait_p50.add(s.wait);
+    f.wait_p95.add(s.wait);
+    f.wait_p99.add(s.wait);
+    if (s.has_gap) {
+      f.gap.add(s.gap);
+      f.gap_p99.add(s.gap);
+    }
+  }
+
+  std::vector<ServedFolds> folds;
+};
+
 /// Per-class collector indexed by ClassId, plus an aggregate view.
+///
+/// Counters are bumped inline. Each delivery's wait and inter-service gap
+/// are folded into the Welford/P² estimators off the recording thread, by
+/// a FoldPipe, in record order; every read (at, all, aggregate) drains the
+/// pipe first, so what it returns is bit-identical to folding inline.
+/// Reads join the pipe's helper thread: no thread outlives a read, and a
+/// collector never read joins it on destruction. Like recording, reads
+/// belong to one thread at a time.
 class ClassCollector {
  public:
   explicit ClassCollector(std::size_t num_classes)
-      : stats_(num_classes), last_service_(num_classes, -1.0) {}
+      : stats_(num_classes), last_service_(num_classes, -1.0),
+        pipe_(num_classes) {}
 
   [[nodiscard]] std::size_t num_classes() const noexcept {
     return stats_.size();
   }
-  [[nodiscard]] ClassStats& at(ClassId cls) noexcept {
-    return stats_[cls];
+  [[nodiscard]] const ClassStats& at(ClassId cls) const {
+    return all()[cls];
   }
-  [[nodiscard]] const ClassStats& at(ClassId cls) const noexcept {
-    return stats_[cls];
-  }
-  [[nodiscard]] const std::vector<ClassStats>& all() const noexcept {
+  [[nodiscard]] const std::vector<ClassStats>& all() const {
+    const std::vector<ServedFolds>& folds = pipe_.drain().folds;
+    for (std::size_t c = 0; c < stats_.size(); ++c) {
+      ClassStats& s = stats_[c];
+      const ServedFolds& f = folds[c];
+      s.wait = f.wait;
+      s.wait_p50 = f.wait_p50;
+      s.wait_p95 = f.wait_p95;
+      s.wait_p99 = f.wait_p99;
+      s.gap = f.gap;
+      s.gap_p99 = f.gap_p99;
+    }
     return stats_;
+  }
+
+  /// Helper threads the fold pipe started (none for runs under one block).
+  [[nodiscard]] std::uint64_t fold_helpers_started() const noexcept {
+    return pipe_.helpers_started();
   }
 
   void record_arrival(ClassId cls) noexcept { ++stats_[cls].arrived; }
@@ -145,18 +207,15 @@ class ClassCollector {
     auto& s = stats_[cls];
     ++s.served;
     (via_push ? s.served_push : s.served_pull) += 1;
-    s.wait.add(wait_time);
-    s.wait_p50.add(wait_time);
-    s.wait_p95.add(wait_time);
-    s.wait_p99.add(wait_time);
+    ServedSample sample{wait_time, 0.0, cls, false};
     if (now >= 0.0) {
       if (last_service_[cls] >= 0.0) {
-        const double gap = now - last_service_[cls];
-        s.gap.add(gap);
-        s.gap_p99.add(gap);
+        sample.gap = now - last_service_[cls];
+        sample.has_gap = true;
       }
       last_service_[cls] = now;
     }
+    pipe_.push(sample);
   }
 
   void record_blocked(ClassId cls) noexcept {
@@ -186,16 +245,19 @@ class ClassCollector {
   }
 
   /// All classes merged (waiting-time stats pooled over every request).
-  [[nodiscard]] ClassStats aggregate() const noexcept {
+  [[nodiscard]] ClassStats aggregate() const {
     ClassStats total;
-    for (const auto& s : stats_) total.merge_counters(s);
+    for (const auto& s : all()) total.merge_counters(s);
     return total;
   }
 
  private:
-  std::vector<ClassStats> stats_;
+  // mutable: reads drain the pipe and publish its estimators into stats_,
+  // a representation change invisible through the const accessors.
+  mutable std::vector<ClassStats> stats_;
   /// Timestamp of the last recorded delivery per class (-1 = none yet).
   std::vector<double> last_service_;
+  mutable FoldPipe<ServedSample, ServedFolder> pipe_;
 };
 
 }  // namespace pushpull::metrics

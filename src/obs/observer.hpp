@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/fold_pipe.hpp"
 #include "metrics/p2_quantile.hpp"
 #include "metrics/welford.hpp"
 #include "obs/config.hpp"
@@ -16,74 +17,39 @@ namespace pushpull::obs {
 
 /// Welford moments plus P² tail estimates for one sim-time series
 /// (pull-queue length, per-class response time).
-///
-/// Samples are buffered and folded into the estimators lazily: the hot
-/// path (`add`) is one store into a fixed-size block, and the Welford +
-/// 3×P² arithmetic runs at the first accessor call (report/export time) —
-/// DESIGN §13. Blocks, unlike one growing vector, never copy what they
-/// hold and touch each page once. Folding replays the blocks in arrival
-/// order, so every statistic is bit-identical to streaming each sample
-/// immediately. The buffer is capped at kFoldChunk samples (folded eagerly
-/// past that), keeping memory O(1) in the run length.
-class QuantileTrack {
- public:
-  QuantileTrack() : p50_(0.50), p90_(0.90), p99_(0.99) {}
+struct QuantileMoments {
+  metrics::Welford moments;
+  metrics::P2Quantile p50{0.50};
+  metrics::P2Quantile p90{0.90};
+  metrics::P2Quantile p99{0.99};
 
   void add(double x) {
-    if (fill_ == kBlock) {
-      if (blocks_.size() * kBlock >= kFoldChunk) fold();
-      blocks_.push_back(std::make_unique_for_overwrite<double[]>(kBlock));
-      fill_ = 0;
-    }
-    blocks_.back()[fill_++] = x;
+    moments.add(x);
+    p50.add(x);
+    p90.add(x);
+    p99.add(x);
   }
+};
 
-  [[nodiscard]] const metrics::Welford& moments() const {
-    fold();
-    return moments_;
-  }
-  [[nodiscard]] double p50() const {
-    fold();
-    return p50_.value();
-  }
-  [[nodiscard]] double p90() const {
-    fold();
-    return p90_.value();
-  }
-  [[nodiscard]] double p99() const {
-    fold();
-    return p99_.value();
-  }
+/// One series' QuantileMoments, folded off the recording thread.
+///
+/// The hot path (`add`) is one store into a block; a metrics::FoldPipe
+/// folds full blocks on a helper thread in arrival order, and `folded()`
+/// drains the pipe first (joining the helper and folding the partial
+/// block inline) — DESIGN §13. Every statistic is bit-identical
+/// to streaming each sample immediately, and memory stays O(1) in the run
+/// length.
+class QuantileTrack {
+ public:
+  void add(double x) { pipe_.push(x); }
+
+  /// Every sample added so far, folded; joins the pipe's helper.
+  [[nodiscard]] const QuantileMoments& folded() const { return pipe_.drain(); }
 
  private:
-  static constexpr std::size_t kFoldChunk = std::size_t{1} << 20;
-  static constexpr std::size_t kBlock = std::size_t{1} << 13;  // 64 KiB
-
-  void fold() const {
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-      const std::size_t n = b + 1 == blocks_.size() ? fill_ : kBlock;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = blocks_[b][i];
-        moments_.add(x);
-        p50_.add(x);
-        p90_.add(x);
-        p99_.add(x);
-      }
-    }
-    blocks_.clear();
-    fill_ = kBlock;
-  }
-
-  // mutable: folding is a representation change invisible through the
+  // mutable: draining is a representation change invisible through the
   // const accessors.
-  mutable std::vector<std::unique_ptr<double[]>> blocks_;
-  // Samples in blocks_.back(); kBlock when there is none, so the next add
-  // opens a block.
-  mutable std::size_t fill_ = kBlock;
-  mutable metrics::Welford moments_;
-  mutable metrics::P2Quantile p50_;
-  mutable metrics::P2Quantile p90_;
-  mutable metrics::P2Quantile p99_;
+  mutable metrics::FoldPipe<double, QuantileMoments> pipe_;
 };
 
 /// Rendered summary of one QuantileTrack, ready for export.
@@ -128,25 +94,41 @@ class RunObserver {
 
   /// Sim-time sample of the pull-queue length (taken when it changes).
   void note_queue_len(std::size_t len) {
-    queue_len_.add(static_cast<double>(len));
+    series_.push({static_cast<double>(len), 0});
   }
   /// Response time of a served request, by class.
   void note_response(std::size_t cls, double delay) {
-    if (cls < response_.size()) response_[cls].add(delay);
+    if (cls < num_classes_) {
+      series_.push({delay, static_cast<std::uint32_t>(cls + 1)});
+    }
   }
 
   CounterSet counters;
 
   /// Folds the queue-hook tallies into the counter set and snapshots
-  /// everything into a value-type report.
+  /// everything into a value-type report. Joins the series' fold helper.
   [[nodiscard]] ObsReport report() const;
 
  private:
+  /// One sample of series `series`: 0 is the pull-queue length, 1 + c the
+  /// response time of class c.
+  struct SeriesSample {
+    double x;
+    std::uint32_t series;
+  };
+  struct SeriesFolder {
+    explicit SeriesFolder(std::size_t n) : series(n) {}
+    void add(const SeriesSample& s) { series[s.series].add(s.x); }
+    std::vector<QuantileMoments> series;
+  };
+
   ObsConfig config_;
   TraceSink sink_;
   QueueCounters queue_;
-  QuantileTrack queue_len_;
-  std::vector<QuantileTrack> response_;  // one per class
+  std::size_t num_classes_;
+  // Every series shares one pipe, so an observer runs one fold helper.
+  // mutable: report() drains it.
+  mutable metrics::FoldPipe<SeriesSample, SeriesFolder> series_;
 };
 
 }  // namespace pushpull::obs

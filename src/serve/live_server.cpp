@@ -114,16 +114,16 @@ ServeReport LiveServer::finish(const CompletionQueue& queue) {
                             : 0.0;
   report.mean_pull_queue_len = result.mean_pull_queue_len;
   report.max_pull_queue_len = result.max_pull_queue_len;
-  const obs::QuantileTrack& depth = *core_.queue_depth();
+  const obs::QuantileMoments& depth = core_.queue_depth()->folded();
   report.queue_depth.name = "pull_queue_len";
-  report.queue_depth.count = depth.moments().count();
-  report.queue_depth.mean = depth.moments().mean();
-  report.queue_depth.min = depth.moments().min();
-  report.queue_depth.max = depth.moments().max();
+  report.queue_depth.count = depth.moments.count();
+  report.queue_depth.mean = depth.moments.mean();
+  report.queue_depth.min = depth.moments.min();
+  report.queue_depth.max = depth.moments.max();
   if (report.queue_depth.count > 0) {
-    report.queue_depth.p50 = depth.p50();
-    report.queue_depth.p90 = depth.p90();
-    report.queue_depth.p99 = depth.p99();
+    report.queue_depth.p50 = depth.p50.value();
+    report.queue_depth.p90 = depth.p90.value();
+    report.queue_depth.p99 = depth.p99.value();
   }
   report.cq_posted = queue.posted();
   report.cq_high_water = queue.high_water();

@@ -124,8 +124,8 @@ TEST(TraceSink, ClearRestartsSequenceNumbers) {
 }
 
 TEST(QuantileTrack, DeferredFoldMatchesStreamingAcrossBlocksAndChunks) {
-  // 2.5M samples cross many buffer blocks and two eager folds; the result
-  // must be the bits of folding every sample as it arrives.
+  // 2.5M samples cross many pipe blocks and ring wraps; the result must
+  // be the bits of folding every sample as it arrives.
   obs::QuantileTrack track;
   metrics::Welford moments;
   metrics::P2Quantile p50(0.50), p90(0.90), p99(0.99);
@@ -139,12 +139,13 @@ TEST(QuantileTrack, DeferredFoldMatchesStreamingAcrossBlocksAndChunks) {
     p90.add(x);
     p99.add(x);
   }
-  EXPECT_EQ(track.moments().count(), moments.count());
-  EXPECT_EQ(track.moments().mean(), moments.mean());
-  EXPECT_EQ(track.moments().variance(), moments.variance());
-  EXPECT_EQ(track.p50(), p50.value());
-  EXPECT_EQ(track.p90(), p90.value());
-  EXPECT_EQ(track.p99(), p99.value());
+  const obs::QuantileMoments& folded = track.folded();
+  EXPECT_EQ(folded.moments.count(), moments.count());
+  EXPECT_EQ(folded.moments.mean(), moments.mean());
+  EXPECT_EQ(folded.moments.variance(), moments.variance());
+  EXPECT_EQ(folded.p50.value(), p50.value());
+  EXPECT_EQ(folded.p90.value(), p90.value());
+  EXPECT_EQ(folded.p99.value(), p99.value());
 }
 
 TEST(Tracer, DefaultConstructedIsInert) {
