@@ -1,9 +1,12 @@
 // Tests for the closed-loop (finite client population) hybrid system.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "catalog/catalog.hpp"
 #include "catalog/length_model.hpp"
 #include "core/closed_loop.hpp"
+#include "engine_golden.hpp"
 
 namespace pushpull::core {
 namespace {
@@ -131,6 +134,36 @@ TEST(ClosedLoop, PurePullIdlesGracefully) {
   const ClosedLoopResult r = server.run();
   EXPECT_GT(r.overall().served, 0u);
   EXPECT_EQ(r.push_transmissions, 0u);
+}
+
+// One closed-loop run per line, every field in hexfloat, over clients
+// {5, 40, 300} x cutoff {0, 15}.
+std::string render_closed_loop_matrix() {
+  const auto cat = test_catalog();
+  const auto pop = workload::ClientPopulation::paper_default();
+  std::ostringstream out;
+  for (const std::size_t clients :
+       {std::size_t{5}, std::size_t{40}, std::size_t{300}}) {
+    for (const std::size_t cutoff : {std::size_t{0}, std::size_t{15}}) {
+      ClosedLoopConfig config = base_config();
+      config.num_clients = clients;
+      config.cutoff = cutoff;
+      ClosedLoopServer server(cat, pop, config);
+      const ClosedLoopResult r = server.run();
+      out << "clients=" << clients << " cutoff=" << cutoff
+          << " end=" << testing_util::hex(r.end_time)
+          << " push_tx=" << r.push_transmissions
+          << " pull_tx=" << r.pull_transmissions
+          << " throughput=" << testing_util::hex(r.throughput) << "\n"
+          << testing_util::render_per_class(r.per_class);
+    }
+  }
+  return out.str();
+}
+
+TEST(ClosedLoop, MatrixMatchesTheEngineGolden) {
+  testing_util::expect_matches_engine_golden(render_closed_loop_matrix(),
+                                             "closed_loop.txt");
 }
 
 }  // namespace
