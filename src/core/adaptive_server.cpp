@@ -1,13 +1,23 @@
 #include "core/adaptive_server.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "core/cutoff_optimizer.hpp"
 #include "queueing/access_time.hpp"
 
 namespace pushpull::core {
+
+namespace {
+
+HybridConfig core_config(const AdaptiveConfig& config) {
+  HybridConfig core;
+  core.cutoff = config.initial_cutoff;
+  core.alpha = config.alpha;
+  core.mean_bandwidth_demand = 0.0;  // unconstrained channel: no draws
+  return core;
+}
+
+}  // namespace
 
 AdaptiveHybridServer::AdaptiveHybridServer(
     const catalog::Catalog& cat, const workload::ClientPopulation& pop,
@@ -15,13 +25,8 @@ AdaptiveHybridServer::AdaptiveHybridServer(
     : catalog_(&cat),
       population_(&pop),
       config_(std::move(config)),
-      estimator_(cat.size(), config_.estimator_half_life),
-      is_push_(cat.size(), false),
-      push_waiters_(cat.size()) {
-  if (config_.initial_cutoff > cat.size()) {
-    throw std::invalid_argument(
-        "AdaptiveHybridServer: cutoff beyond catalog size");
-  }
+      core_(cat, pop, core_config(config_)),
+      estimator_(cat.size(), config_.estimator_half_life) {
   if (config_.reoptimize_interval <= 0.0) {
     throw std::invalid_argument(
         "AdaptiveHybridServer: re-optimization interval must be > 0");
@@ -29,42 +34,15 @@ AdaptiveHybridServer::AdaptiveHybridServer(
   if (config_.scan_step == 0) {
     throw std::invalid_argument("AdaptiveHybridServer: scan step must be > 0");
   }
-  pull_policy_ = sched::make_pull_policy(config_.pull_policy, config_.alpha);
-}
-
-void AdaptiveHybridServer::set_push_set(
-    const std::vector<catalog::ItemId>& ranking, std::size_t cutoff) {
-  std::fill(is_push_.begin(), is_push_.end(), false);
-  push_list_.assign(ranking.begin(),
-                    ranking.begin() + static_cast<std::ptrdiff_t>(cutoff));
-  for (catalog::ItemId id : push_list_) is_push_[id] = true;
-  push_pos_ = 0;
-
-  // Migrate pending work across the new boundary.
-  for (catalog::ItemId id : push_list_) {
-    // Newly pushed: queued pull requests now just wait for the broadcast.
-    if (auto entry = pull_queue_.extract(id)) {
-      auto& waiters = push_waiters_[id];
-      waiters.insert(waiters.end(), entry->pending.begin(),
-                     entry->pending.end());
-    }
-  }
-  for (catalog::ItemId id = 0; id < catalog_->size(); ++id) {
-    if (is_push_[id] || push_waiters_[id].empty()) continue;
-    // Newly pulled: broadcast waiters become explicit pull requests.
-    for (const auto& request : push_waiters_[id]) {
-      pull_queue_.add(request, population_->priority(request.cls),
-                      catalog_->length(id), catalog_->probability(id));
-    }
-    push_waiters_[id].clear();
-  }
-  cutoff_history_.emplace_back(sim_.now(), cutoff);
 }
 
 void AdaptiveHybridServer::reoptimize() {
-  if (settled_ == to_settle_) return;  // nothing left to schedule for
+  if (core_.done()) return;  // nothing left to schedule for
+  // Rescheduled before the re-partition, whose wake-up may schedule a
+  // transmission end at the same instant.
   schedule_reoptimization();
-  if (arrived_ == 0 || sim_.now() <= 0.0) return;
+  const des::SimTime now = core_.sim().now();
+  if (core_.arrivals() == 0 || now <= 0.0) return;
 
   // Assemble the estimated catalog: estimated popularity in rank order with
   // the true item lengths, plus the measured aggregate arrival rate.
@@ -76,8 +54,7 @@ void AdaptiveHybridServer::reoptimize() {
     lengths[r] = catalog_->length(ranking[r]);
     weights[r] = probs[ranking[r]];
   }
-  double measured_rate = static_cast<double>(arrived_) / sim_.now();
-  if (measured_rate <= 0.0) return;
+  const double measured_rate = static_cast<double>(core_.arrivals()) / now;
 
   const catalog::Catalog estimated(std::move(lengths), std::move(weights));
   const queueing::HybridAccessModel model(estimated, *population_,
@@ -87,150 +64,42 @@ void AdaptiveHybridServer::reoptimize() {
       [&](std::size_t k) { return model.prioritized_cost(k, config_.alpha); });
 
   ++reoptimizations_;
-  set_push_set(ranking, scan.best_cutoff);
-  wake_if_idle();
+  core_.repartition(ranking, scan.best_cutoff);
+  cutoff_history_.emplace_back(now, scan.best_cutoff);
 }
 
 void AdaptiveHybridServer::schedule_reoptimization() {
-  sim_.schedule_in(config_.reoptimize_interval, [this]() { reoptimize(); });
-}
-
-void AdaptiveHybridServer::settle_one() {
-  ++settled_;
-  if (settled_ == to_settle_) sim_.request_stop();
-}
-
-void AdaptiveHybridServer::deliver(const workload::Request& request,
-                                   bool via_push) {
-  collector_->record_served(request.cls, sim_.now() - request.arrival,
-                            via_push, sim_.now());
-  settle_one();
-}
-
-void AdaptiveHybridServer::wake_if_idle() {
-  if (server_busy_ || settled_ == to_settle_) return;
-  if (push_list_.empty() && pull_queue_.empty()) return;
-  server_busy_ = true;
-  serve_next(/*just_did_push=*/true);
-}
-
-void AdaptiveHybridServer::on_arrival(const workload::Request& request) {
-  collector_->record_arrival(request.cls);
-  ++arrived_;
-  estimator_.observe(request.item, request.arrival);
-  if (is_push_[request.item]) {
-    push_waiters_[request.item].push_back(request);
-  } else {
-    const des::SimTime now = sim_.now();
-    queue_len_area_ += static_cast<double>(pull_queue_.total_requests()) *
-                       (now - queue_len_last_t_);
-    queue_len_last_t_ = now;
-    pull_queue_.add(request, population_->priority(request.cls),
-                    catalog_->length(request.item),
-                    catalog_->probability(request.item));
-  }
-  wake_if_idle();
-}
-
-void AdaptiveHybridServer::serve_next(bool just_did_push) {
-  if (settled_ == to_settle_) {
-    server_busy_ = false;
-    return;
-  }
-  if (push_list_.empty()) {
-    if (pull_queue_.empty()) {
-      server_busy_ = false;
-      return;
-    }
-    start_pull();
-    return;
-  }
-  if (just_did_push && !pull_queue_.empty()) {
-    start_pull();
-  } else {
-    start_push();
-  }
-}
-
-void AdaptiveHybridServer::start_push() {
-  if (push_list_.empty()) {
-    throw std::logic_error(
-        "AdaptiveHybridServer: start_push() with an empty push list");
-  }
-  if (push_pos_ >= push_list_.size()) push_pos_ = 0;
-  const catalog::ItemId item = push_list_[push_pos_++];
-  std::vector<workload::Request> catching = std::move(push_waiters_[item]);
-  push_waiters_[item].clear();
-  sim_.schedule_in(catalog_->length(item),
-                   [this, catching = std::move(catching)]() {
-                     ++push_transmissions_;
-                     for (const auto& r : catching) deliver(r, true);
-                     serve_next(/*just_did_push=*/true);
-                   });
-}
-
-void AdaptiveHybridServer::start_pull() {
-  const des::SimTime now = sim_.now();
-  queue_len_area_ += static_cast<double>(pull_queue_.total_requests()) *
-                     (now - queue_len_last_t_);
-  queue_len_last_t_ = now;
-  sched::PullContext ctx;
-  ctx.now = now;
-  ctx.expected_queue_len = now > 0.0 ? queue_len_area_ / now : 1.0;
-  auto entry = pull_queue_.extract_best(*pull_policy_, ctx);
-  if (!entry.has_value()) {
-    throw std::logic_error(
-        "AdaptiveHybridServer: non-empty pull queue yielded no entry");
-  }
-  sim_.schedule_in(entry->length, [this, entry = std::move(*entry)]() {
-    ++pull_transmissions_;
-    for (const auto& r : entry.pending) deliver(r, false);
-    serve_next(/*just_did_push=*/false);
-  });
+  core_.sim().schedule_in(config_.reoptimize_interval,
+                          [this]() { reoptimize(); });
 }
 
 AdaptiveResult AdaptiveHybridServer::run(const workload::Trace& trace) {
-  sim_.reset();
-  pull_queue_.clear();
-  for (auto& waiters : push_waiters_) waiters.clear();
-  estimator_ =
-      workload::PopularityEstimator(catalog_->size(),
-                                    config_.estimator_half_life);
-  collector_ =
-      std::make_unique<metrics::ClassCollector>(population_->num_classes());
-  to_settle_ = trace.size();
-  settled_ = 0;
-  arrived_ = 0;
-  push_transmissions_ = 0;
-  pull_transmissions_ = 0;
+  estimator_ = workload::PopularityEstimator(catalog_->size(),
+                                             config_.estimator_half_life);
   reoptimizations_ = 0;
-  queue_len_area_ = 0.0;
-  queue_len_last_t_ = 0.0;
-  cutoff_history_.clear();
+  // The initial partition is the catalog's own rank order.
+  cutoff_history_.assign(1, {0.0, config_.initial_cutoff});
 
-  // Initial partition: the catalog's own rank order (ids 0..D-1).
-  std::vector<catalog::ItemId> initial_ranking(catalog_->size());
-  for (catalog::ItemId id = 0; id < catalog_->size(); ++id) {
-    initial_ranking[id] = id;
-  }
-  set_push_set(initial_ranking, config_.initial_cutoff);
-
-  sim_.attach_arrivals(
+  core_.begin(trace.size(), trace.span(), nullptr, nullptr,
+              /*track_queue_depth=*/false);
+  core_.sim().attach_arrivals(
       trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
-      [this, &trace](std::size_t i) { on_arrival(trace[i]); });
-  server_busy_ = false;
-  if (!push_list_.empty()) {
-    server_busy_ = true;
-    sim_.schedule_at(0.0, [this]() { serve_next(/*just_did_push=*/true); });
-  }
+      [this, &trace](std::size_t i) {
+        estimator_.observe(trace[i].item, trace[i].arrival);
+        core_.on_arrival(trace[i]);
+      });
+  core_.start();
+  // After start(), so a re-optimization and a transmission end at the same
+  // instant dispatch in the kernel's (time, id) order.
   schedule_reoptimization();
-  sim_.run();
+  core_.run();
 
+  SimResult sim = core_.result();
   AdaptiveResult result;
-  result.per_class = collector_->all();
-  result.end_time = sim_.now();
-  result.push_transmissions = push_transmissions_;
-  result.pull_transmissions = pull_transmissions_;
+  result.per_class = std::move(sim.per_class);
+  result.end_time = sim.end_time;
+  result.push_transmissions = sim.push_transmissions;
+  result.pull_transmissions = sim.pull_transmissions;
   result.reoptimizations = reoptimizations_;
   result.cutoff_history = cutoff_history_;
   return result;

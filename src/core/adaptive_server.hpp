@@ -2,16 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "catalog/catalog.hpp"
-#include "core/pull_queue.hpp"
-#include "core/result.hpp"
+#include "core/server_core.hpp"
 #include "des/simulator.hpp"
 #include "metrics/class_stats.hpp"
-#include "sched/pull/policy.hpp"
 #include "workload/population.hpp"
 #include "workload/popularity_estimator.hpp"
 #include "workload/trace.hpp"
@@ -25,7 +22,6 @@ struct AdaptiveConfig {
 
   /// Importance-factor weight (see HybridConfig::alpha).
   double alpha = 0.5;
-  sched::PullPolicyKind pull_policy = sched::PullPolicyKind::kImportance;
 
   /// Virtual time between cutoff re-optimizations (the paper's "periodically
   /// the algorithm is executed for different cutoff-points").
@@ -72,13 +68,14 @@ struct AdaptiveResult {
 /// a fixed rank prefix but the top-K items of an *online popularity
 /// estimate*, with K re-optimized periodically against the analytical
 /// access-time model fed with the estimated popularity and the measured
-/// arrival rate. Pending requests migrate when their item changes sides:
-/// a newly-pushed item's queued pull requests become broadcast waiters, and
-/// a newly-pulled item's waiters enter the pull queue.
+/// arrival rate.
 ///
-/// Compared to HybridServer this class trades the bandwidth/blocking
-/// machinery for adaptivity; both build on the same queue, policies and
-/// DES kernel.
+/// A driver of core::ServerCore: it feeds the estimator before each
+/// arrival reaches the core and, on its timer, hands the core the
+/// estimated ranking and the best cutoff (ServerCore::repartition), which
+/// migrates pending requests across the moved boundary. Every scheduling
+/// rule is the core's; until the first re-optimization the server is
+/// HybridServer at `initial_cutoff`, bit for bit.
 class AdaptiveHybridServer {
  public:
   AdaptiveHybridServer(const catalog::Catalog& cat,
@@ -92,43 +89,17 @@ class AdaptiveHybridServer {
   }
 
  private:
-  void on_arrival(const workload::Request& request);
-  void serve_next(bool just_did_push);
-  void start_push();
-  void start_pull();
-  void deliver(const workload::Request& request, bool via_push);
-  void settle_one();
-  void wake_if_idle();
   void reoptimize();
   void schedule_reoptimization();
-  void set_push_set(const std::vector<catalog::ItemId>& ranking,
-                    std::size_t cutoff);
 
   const catalog::Catalog* catalog_;
   const workload::ClientPopulation* population_;
   AdaptiveConfig config_;
-
-  des::Simulator sim_;
-  PullQueue pull_queue_;
-  std::unique_ptr<sched::PullPolicy> pull_policy_;
+  ServerCore core_;
   workload::PopularityEstimator estimator_;
 
-  std::vector<bool> is_push_;
-  std::vector<catalog::ItemId> push_list_;  // estimated-rank order
-  std::size_t push_pos_ = 0;
-  std::vector<std::vector<workload::Request>> push_waiters_;
-  std::unique_ptr<metrics::ClassCollector> collector_;
-
   // Run-scoped state.
-  std::uint64_t to_settle_ = 0;
-  std::uint64_t settled_ = 0;
-  std::uint64_t arrived_ = 0;
-  bool server_busy_ = false;
-  std::uint64_t push_transmissions_ = 0;
-  std::uint64_t pull_transmissions_ = 0;
   std::uint64_t reoptimizations_ = 0;
-  double queue_len_area_ = 0.0;
-  des::SimTime queue_len_last_t_ = 0.0;
   std::vector<std::pair<des::SimTime, std::size_t>> cutoff_history_;
 };
 

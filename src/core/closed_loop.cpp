@@ -1,19 +1,33 @@
 #include "core/closed_loop.hpp"
 
+#include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "rng/exponential.hpp"
 #include "rng/stream.hpp"
 
 namespace pushpull::core {
 
+namespace {
+
+HybridConfig core_config(const ClosedLoopConfig& config) {
+  HybridConfig core;
+  core.cutoff = config.cutoff;
+  core.alpha = config.alpha;
+  core.mean_bandwidth_demand = 0.0;  // unconstrained channel: no draws
+  core.warmup_fraction = config.warmup_fraction;
+  core.seed = config.seed;
+  return core;
+}
+
+}  // namespace
+
 ClosedLoopServer::ClosedLoopServer(const catalog::Catalog& cat,
                                    const workload::ClientPopulation& pop,
                                    ClosedLoopConfig config)
     : catalog_(&cat),
-      population_(&pop),
       config_(std::move(config)),
+      core_(cat, pop, core_config(config_)),
       think_eng_(rng::StreamFactory(config_.seed).stream("think")),
       item_eng_(rng::StreamFactory(config_.seed).stream("items")) {
   if (config_.num_clients == 0) {
@@ -22,164 +36,73 @@ ClosedLoopServer::ClosedLoopServer(const catalog::Catalog& cat,
   if (config_.think_rate <= 0.0) {
     throw std::invalid_argument("ClosedLoopServer: think rate must be > 0");
   }
-  if (config_.cutoff > cat.size()) {
-    throw std::invalid_argument("ClosedLoopServer: cutoff beyond catalog");
-  }
   if (config_.horizon <= 0.0) {
     throw std::invalid_argument("ClosedLoopServer: horizon must be > 0");
   }
-  if (config_.warmup_fraction < 0.0 || config_.warmup_fraction >= 1.0) {
-    throw std::invalid_argument(
-        "ClosedLoopServer: warmup fraction must be in [0, 1)");
-  }
-  if (config_.cutoff > 0) {
-    push_sched_ =
-        sched::make_push_scheduler(config_.push_policy, cat, config_.cutoff);
-  }
-  pull_policy_ = sched::make_pull_policy(config_.pull_policy, config_.alpha);
-  push_waiters_.resize(cat.size());
 
   // Deterministic class assignment by cumulative population share.
-  clients_.resize(config_.num_clients);
+  client_class_.resize(config_.num_clients);
   double cumulative = 0.0;
   workload::ClassId cls = 0;
   for (std::size_t c = 0; c < config_.num_clients; ++c) {
     const double position = (static_cast<double>(c) + 0.5) /
                             static_cast<double>(config_.num_clients);
-    while (cls + 1 < population_->num_classes() &&
-           position >= cumulative + population_->share(cls)) {
-      cumulative += population_->share(cls);
+    while (cls + 1 < pop.num_classes() &&
+           position >= cumulative + pop.share(cls)) {
+      cumulative += pop.share(cls);
       ++cls;
     }
-    clients_[c].cls = cls;
+    client_class_[c] = cls;
   }
 }
 
 void ClosedLoopServer::think_then_request(std::size_t client) {
   const double think = rng::exponential(think_eng_, config_.think_rate);
-  sim_.schedule_in(think, [this, client]() { issue_request(client); });
+  core_.sim().schedule_in(think, [this, client]() { issue_request(client); });
 }
 
 void ClosedLoopServer::issue_request(std::size_t client) {
   workload::Request request;
-  request.id = next_request_id_++;
-  request.item = catalog_->sample(item_eng_);
-  request.cls = clients_[client].cls;
-  request.arrival = sim_.now();
   // The request id doubles as the key back to its client: ids are dense,
   // so a vector indexed by id works as the owner map.
+  request.id = owners_.size();
+  request.item = catalog_->sample(item_eng_);
+  request.cls = client_class_[client];
+  request.arrival = core_.sim().now();
   owners_.push_back(client);
-  if (owners_.size() != request.id + 1) {
-    throw std::logic_error(
-        "ClosedLoopServer: request ids are not dense (id " +
-        std::to_string(request.id) + ", owners " +
-        std::to_string(owners_.size()) + ")");
-  }
-
-  if (measured(request.arrival)) collector_->record_arrival(request.cls);
-  if (request.item < config_.cutoff) {
-    push_waiters_[request.item].push_back(request);
-  } else {
-    pull_queue_.add(request, population_->priority(request.cls),
-                    catalog_->length(request.item),
-                    catalog_->probability(request.item));
-  }
-  if (!server_busy_) {
-    server_busy_ = true;
-    serve_next(/*just_did_push=*/true);
-  }
+  core_.on_arrival(request);
 }
 
-void ClosedLoopServer::deliver(const workload::Request& request,
-                               bool via_push) {
-  if (measured(request.arrival)) {
-    collector_->record_served(request.cls, sim_.now() - request.arrival,
-                              via_push, sim_.now());
-    ++measured_served_;
-  }
+void ClosedLoopServer::on_delivered(const workload::Request& request) {
   think_then_request(owners_[request.id]);
 }
 
-void ClosedLoopServer::serve_next(bool just_did_push) {
-  if (config_.cutoff == 0) {
-    if (pull_queue_.empty()) {
-      server_busy_ = false;
-      return;
-    }
-    start_pull();
-    return;
-  }
-  if (just_did_push && !pull_queue_.empty()) {
-    start_pull();
-  } else {
-    start_push();
-  }
-}
-
-void ClosedLoopServer::start_push() {
-  const catalog::ItemId item = push_sched_->next();
-  std::vector<workload::Request> catching = std::move(push_waiters_[item]);
-  push_waiters_[item].clear();
-  sim_.schedule_in(catalog_->length(item),
-                   [this, catching = std::move(catching)]() {
-                     ++push_transmissions_;
-                     for (const auto& r : catching) deliver(r, true);
-                     serve_next(/*just_did_push=*/true);
-                   });
-}
-
-void ClosedLoopServer::start_pull() {
-  sched::PullContext ctx;
-  ctx.now = sim_.now();
-  ctx.expected_queue_len = static_cast<double>(pull_queue_.total_requests());
-  auto entry = pull_queue_.extract_best(*pull_policy_, ctx);
-  if (!entry.has_value()) {
-    throw std::logic_error(
-        "ClosedLoopServer: non-empty pull queue yielded no entry");
-  }
-  sim_.schedule_in(entry->length, [this, entry = std::move(*entry)]() {
-    ++pull_transmissions_;
-    for (const auto& r : entry.pending) deliver(r, false);
-    serve_next(/*just_did_push=*/false);
-  });
-}
-
 ClosedLoopResult ClosedLoopServer::run() {
-  sim_.reset();
   // Re-seed the per-run engines so a reused server replays identically.
   think_eng_ = rng::StreamFactory(config_.seed).stream("think");
   item_eng_ = rng::StreamFactory(config_.seed).stream("items");
-  pull_queue_.clear();
-  if (push_sched_) push_sched_->reset();
-  for (auto& waiters : push_waiters_) waiters.clear();
   owners_.clear();
-  collector_ =
-      std::make_unique<metrics::ClassCollector>(population_->num_classes());
-  next_request_id_ = 0;
-  push_transmissions_ = 0;
-  pull_transmissions_ = 0;
-  measured_served_ = 0;
-  server_busy_ = false;
-
+  // A closed loop never settles: the run ends at the horizon, and the
+  // warm-up cut is warmup_fraction of it.
+  core_.begin(std::numeric_limits<std::uint64_t>::max(), config_.horizon,
+              nullptr, this, /*track_queue_depth=*/false);
   // Every client starts with an initial think phase.
   for (std::size_t c = 0; c < config_.num_clients; ++c) {
     think_then_request(c);
   }
-  if (config_.cutoff > 0) {
-    server_busy_ = true;
-    sim_.schedule_at(0.0, [this]() { serve_next(/*just_did_push=*/true); });
-  }
-  sim_.run_until(config_.horizon);
+  core_.start();
+  core_.sim().run_until(config_.horizon);
 
+  SimResult sim = core_.result();
   ClosedLoopResult result;
-  result.per_class = collector_->all();
-  result.end_time = sim_.now();
-  result.push_transmissions = push_transmissions_;
-  result.pull_transmissions = pull_transmissions_;
-  const double window =
-      config_.horizon * (1.0 - config_.warmup_fraction);
+  result.per_class = std::move(sim.per_class);
+  result.end_time = core_.sim().now();
+  result.push_transmissions = sim.push_transmissions;
+  result.pull_transmissions = sim.pull_transmissions;
+  const double window = config_.horizon * (1.0 - config_.warmup_fraction);
   result.throughput =
-      window > 0.0 ? static_cast<double>(measured_served_) / window : 0.0;
+      window > 0.0 ? static_cast<double>(result.overall().served) / window
+                   : 0.0;
   return result;
 }
 

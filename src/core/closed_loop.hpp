@@ -2,16 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "catalog/catalog.hpp"
-#include "core/pull_queue.hpp"
+#include "core/server_core.hpp"
 #include "des/simulator.hpp"
 #include "metrics/class_stats.hpp"
 #include "rng/xoshiro256ss.hpp"
-#include "sched/pull/policy.hpp"
-#include "sched/push/push_scheduler.hpp"
 #include "workload/population.hpp"
 
 namespace pushpull::core {
@@ -25,8 +22,6 @@ struct ClosedLoopConfig {
   double think_rate = 0.05;
   std::size_t cutoff = 0;
   double alpha = 0.5;
-  sched::PullPolicyKind pull_policy = sched::PullPolicyKind::kImportance;
-  sched::PushPolicyKind push_policy = sched::PushPolicyKind::kFlat;
   /// Virtual run length and the fraction of it discarded as warm-up.
   double horizon = 20000.0;
   double warmup_fraction = 0.1;
@@ -63,7 +58,12 @@ struct ClosedLoopResult {
 ///
 /// Clients are assigned classes by the population's shares (round-robin by
 /// cumulative share, deterministic) and keep them for the whole run.
-class ClosedLoopServer {
+///
+/// A driver of core::ServerCore: it owns the clients (think and item
+/// streams, classes, which client issued which request) and takes the
+/// core's delivery hook to start the delivered client's next think phase.
+/// The core never settles the run; the kernel simply stops at the horizon.
+class ClosedLoopServer final : private DecisionSink {
  public:
   ClosedLoopServer(const catalog::Catalog& cat,
                    const workload::ClientPopulation& pop,
@@ -72,43 +72,19 @@ class ClosedLoopServer {
   [[nodiscard]] ClosedLoopResult run();
 
  private:
-  struct Client {
-    workload::ClassId cls = 0;
-  };
-
+  void on_delivered(const workload::Request& request) override;
   void think_then_request(std::size_t client);
   void issue_request(std::size_t client);
-  void serve_next(bool just_did_push);
-  void start_push();
-  void start_pull();
-  void deliver(const workload::Request& request, bool via_push);
-
-  [[nodiscard]] bool measured(des::SimTime at) const noexcept {
-    return at >= config_.warmup_fraction * config_.horizon;
-  }
 
   const catalog::Catalog* catalog_;
-  const workload::ClientPopulation* population_;
   ClosedLoopConfig config_;
-
-  des::Simulator sim_;
-  PullQueue pull_queue_;
-  std::unique_ptr<sched::PushScheduler> push_sched_;
-  std::unique_ptr<sched::PullPolicy> pull_policy_;
+  ServerCore core_;
   rng::Xoshiro256ss think_eng_;
   rng::Xoshiro256ss item_eng_;
 
-  std::vector<Client> clients_;
+  std::vector<workload::ClassId> client_class_;
   // owners_[request id] = issuing client; ids are dense per run.
   std::vector<std::size_t> owners_;
-  std::vector<std::vector<workload::Request>> push_waiters_;
-  std::unique_ptr<metrics::ClassCollector> collector_;
-
-  bool server_busy_ = false;
-  workload::RequestId next_request_id_ = 0;
-  std::uint64_t push_transmissions_ = 0;
-  std::uint64_t pull_transmissions_ = 0;
-  std::uint64_t measured_served_ = 0;
 };
 
 }  // namespace pushpull::core

@@ -1,6 +1,7 @@
 #include "core/server_core.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -72,6 +73,7 @@ ServerCore::ServerCore(const catalog::Catalog& cat,
                      rng::StreamFactory(config_.seed).stream("fault-channel"));
   }
   overload_ = resilience::OverloadController(config_.resilience.overload);
+  set_cutoff(config_.cutoff, 0);
   if (config_.cutoff > 0) {
     push_sched_ =
         sched::make_push_scheduler(config_.push_policy, cat, config_.cutoff);
@@ -349,6 +351,7 @@ void ServerCore::deliver(const workload::Request& request, bool via_push) {
                               now);
   }
   settle_one();
+  if (sink_) sink_->on_delivered(request);
 }
 
 void ServerCore::on_arrival(const workload::Request& request) {
@@ -357,7 +360,7 @@ void ServerCore::on_arrival(const workload::Request& request) {
   if (obs_) ++obs_->counters.server_arrivals;
   if (sink_) sink_->record_request(request, request.arrival);
   if (measured(request)) collector_->record_arrival(request.cls);
-  if (request.item < effective_cutoff()) {
+  if (pushed(request.item)) {
     // Push item: the request is "ignored" by the scheduler (the item is on
     // the broadcast program anyway); park it to measure its delay.
     push_waiters_[request.item].push_back(request);
@@ -418,7 +421,7 @@ void ServerCore::serve_next(bool just_did_push) {
 
 void ServerCore::start_push() {
   const double now = sim_.now();
-  const catalog::ItemId item = push_sched_->next();
+  const catalog::ItemId item = order_[push_sched_->next()];
   // Only clients already waiting when the transmission starts catch it;
   // arrivals during the airtime wait for the next replica.
   // The waiting list swaps with a spare buffer, so the item keeps a park
@@ -444,7 +447,6 @@ void ServerCore::start_push() {
           recycle_waiters(std::move(catching));
           return;
         }
-        if (sink_) sink_->on_slot_end(sim_.now());
         inflight_push_.reset();
         on_air_ = 0;
         ++push_transmissions_;
@@ -467,7 +469,7 @@ void ServerCore::start_push() {
           if (obs_) ++obs_->counters.fault_corrupt_push;
           trace_.emit<obs::Category::kFault>(sim_.now(), "corrupt_push", item,
                                              catching.size());
-          const bool still_broadcast = item < effective_cutoff();
+          const bool still_broadcast = pushed(item);
           for (const auto& r : catching) {
             if (measured(r)) collector_->record_corrupted(r.cls);
             if (still_broadcast) {
@@ -554,7 +556,6 @@ void ServerCore::start_pull() {
       pull_queue_.recycle(std::move(entry.pending));
       return;
     }
-    if (sink_) sink_->on_slot_end(sim_.now());
     inflight_pull_.reset();
     on_air_ = 0;
     bandwidth_.release(cls, demand);
@@ -583,8 +584,10 @@ void ServerCore::start_pull() {
   });
 }
 
-std::size_t ServerCore::effective_cutoff() const noexcept {
-  return std::min(config_.cutoff + cutoff_boost_, catalog_->size());
+void ServerCore::set_cutoff(std::size_t cutoff, std::size_t boost) noexcept {
+  cutoff_ = cutoff;
+  cutoff_boost_ = boost;
+  push_cut_ = std::min(cutoff + boost, catalog_->size());
 }
 
 std::size_t ServerCore::effective_queue_capacity() const noexcept {
@@ -747,8 +750,8 @@ void ServerCore::evaluate_overload() {
   // restarts the push program, which can starve the de-widened items
   // forever when no patience timer reaps them.
   std::size_t backlog = pull_queue_.total_requests();
-  for (std::size_t item = config_.cutoff; item < effective_cutoff(); ++item) {
-    backlog += push_waiters_[item].size();
+  for (std::size_t rank = cutoff_; rank < effective_cutoff(); ++rank) {
+    backlog += push_waiters_[order_[rank]].size();
   }
   const std::size_t cap = config_.fault.queue_capacity > 0
                               ? config_.fault.queue_capacity
@@ -788,24 +791,61 @@ void ServerCore::apply_overload_level(resilience::OverloadLevel level) {
 
 void ServerCore::apply_cutoff_boost(std::size_t boost) {
   const std::size_t old_cut = effective_cutoff();
-  cutoff_boost_ = boost;
+  set_cutoff(cutoff_, boost);
   const std::size_t new_cut = effective_cutoff();
   if (new_cut == old_cut) return;
   if (obs_) {
     ++obs_->counters.cutoff_boosts;
     trace_.emit<obs::Category::kCutoff>(sim_.now(), "boost", old_cut, new_cut);
   }
-  push_sched_ = new_cut > 0 ? sched::make_push_scheduler(config_.push_policy,
-                                                         *catalog_, new_cut)
-                            : nullptr;
+  const std::span<const catalog::ItemId> order(order_);
   if (new_cut > old_cut) {
-    // Widened: the hottest pull items now ride the broadcast. Their queued
-    // requests become push waiters; patience timers stay armed (the client
-    // is still waiting for the same item). Hedge duplicates die here —
-    // broadcast delivery needs no importance boost.
+    move_boundary(order.subspan(old_cut, new_cut - old_cut), {});
+  } else {
+    move_boundary({}, order.subspan(new_cut, old_cut - new_cut));
+  }
+}
+
+void ServerCore::repartition(std::span<const catalog::ItemId> order,
+                             std::size_t cutoff) {
+  if (order.size() != order_.size() || cutoff > order.size()) {
+    throw std::invalid_argument(
+        "ServerCore: repartition needs a full rank order and a cutoff "
+        "within the catalog");
+  }
+  const std::size_t old_cut = effective_cutoff();
+  const std::size_t new_cut = std::min(cutoff + cutoff_boost_, order.size());
+  // The items that change sides, found against the old ranks.
+  std::vector<catalog::ItemId> to_push;
+  for (std::size_t rank = 0; rank < new_cut; ++rank) {
+    if (rank_[order[rank]] >= old_cut) to_push.push_back(order[rank]);
+  }
+  std::vector<catalog::ItemId> to_pull(
+      order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(old_cut));
+  set_cutoff(cutoff, cutoff_boost_);
+  order_.assign(order.begin(), order.end());
+  for (std::size_t rank = 0; rank < order_.size(); ++rank) {
+    rank_[order_[rank]] = static_cast<catalog::ItemId>(rank);
+  }
+  std::erase_if(to_pull,
+                [this](catalog::ItemId item) { return pushed(item); });
+  move_boundary(to_push, to_pull);
+}
+
+void ServerCore::move_boundary(std::span<const catalog::ItemId> to_push,
+                               std::span<const catalog::ItemId> to_pull) {
+  const std::size_t cut = effective_cutoff();
+  push_sched_ = cut > 0 ? sched::make_push_scheduler(config_.push_policy,
+                                                     *catalog_, cut)
+                        : nullptr;
+  if (!to_push.empty()) {
+    // Newly pushed items ride the broadcast. Their queued requests become
+    // push waiters; patience timers stay armed (the client is still
+    // waiting for the same item). Hedge duplicates die here — broadcast
+    // delivery needs no importance boost.
     note_queue_len();
-    for (std::size_t item = old_cut; item < new_cut; ++item) {
-      auto entry = pull_queue_.extract(static_cast<catalog::ItemId>(item));
+    for (const catalog::ItemId item : to_push) {
+      auto entry = pull_queue_.extract(item);
       if (!entry.has_value()) continue;
       for (const auto& r : entry->pending) {
         if (is_hedge(r)) {
@@ -817,19 +857,18 @@ void ServerCore::apply_cutoff_boost(std::size_t boost) {
       }
       pull_queue_.recycle(std::move(entry->pending));
     }
-  } else {
-    // Shrunk back: parked waiters of de-widened items are pull requests
-    // again and re-enter through admission control.
-    for (std::size_t item = new_cut; item < old_cut; ++item) {
-      std::vector<workload::Request> waiters = std::move(push_waiters_[item]);
-      push_waiters_[item].clear();
-      for (const auto& r : waiters) {
-        disarm_patience(r.id);
-        requeue_pull(r);
-      }
+  }
+  // Parked waiters of newly pulled items are pull requests again and
+  // re-enter through admission control.
+  for (const catalog::ItemId item : to_pull) {
+    std::vector<workload::Request> waiters = std::move(push_waiters_[item]);
+    push_waiters_[item].clear();
+    for (const auto& r : waiters) {
+      disarm_patience(r.id);
+      requeue_pull(r);
     }
   }
-  if (!down_ && !draining_ && settled_ < to_settle_ && new_cut > 0) {
+  if (!down_ && !draining_ && settled_ < to_settle_ && cut > 0) {
     // A pure-pull server asleep on an empty queue now has a broadcast
     // program to run.
     wake();
@@ -860,15 +899,18 @@ void ServerCore::begin(std::uint64_t planned, double span,
   des_scheduled_base_ = sim_.scheduled_events();
   des_dispatched_base_ = sim_.dispatched_events();
   des_cancelled_base_ = sim_.cancelled_events();
-  if (cutoff_boost_ > 0) {
-    // Undo a widen-push left over from the previous run.
-    cutoff_boost_ = 0;
-    push_sched_ = config_.cutoff > 0
-                      ? sched::make_push_scheduler(config_.push_policy,
-                                                   *catalog_, config_.cutoff)
-                      : nullptr;
+  if (cutoff_boost_ > 0 || cutoff_ != config_.cutoff) {
+    // Undo a widen-push or a repartition left over from the previous run.
+    set_cutoff(config_.cutoff, 0);
+    push_sched_ = cutoff_ > 0 ? sched::make_push_scheduler(
+                                    config_.push_policy, *catalog_, cutoff_)
+                              : nullptr;
   }
   if (push_sched_) push_sched_->reset();
+  order_.resize(catalog_->size());
+  rank_.resize(catalog_->size());
+  std::iota(order_.begin(), order_.end(), catalog::ItemId{0});
+  std::iota(rank_.begin(), rank_.end(), catalog::ItemId{0});
   for (auto& waiters : push_waiters_) waiters.clear();
   collector_ =
       std::make_unique<metrics::ClassCollector>(population_->num_classes());
@@ -944,7 +986,7 @@ void ServerCore::begin(std::uint64_t planned, double span,
 }
 
 void ServerCore::start() {
-  if (config_.cutoff == 0) return;  // pure pull: sleep until an arrival
+  if (cutoff_ == 0) return;  // pure pull: sleep until an arrival
   server_busy_ = true;
   sim_.schedule_at(0.0, [this]() { serve_next(/*just_did_push=*/true); });
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,41 +34,50 @@ namespace pushpull::core {
 /// appear in the journal or the conservation ledger.
 inline constexpr workload::RequestId kHedgeIdBit = 1ull << 63;
 
-/// Where a run's decisions go besides its statistics. The live driver
-/// journals them (serve::TraceRecorder implements the record_* calls) and
-/// passes slot ends through its completion queue. Plain DES runs install
-/// none, so every call site costs one branch and no virtual call.
+/// Where a run's decisions go besides its statistics, and the one input
+/// hook a driver can take. The live driver journals the decisions
+/// (serve::TraceRecorder implements the record_* calls); the closed-loop
+/// driver turns each delivery into its client's next think phase. Every
+/// call defaults to a no-op. Plain DES runs install no sink, so every call
+/// site costs one branch and no virtual call.
 class DecisionSink {
  public:
   virtual ~DecisionSink() = default;
   /// An arrival entered the server at its observed stamp.
-  virtual void record_request(const workload::Request& request,
-                              double observed_time) = 0;
+  virtual void record_request(const workload::Request& /*request*/,
+                              double /*observed_time*/) {}
   /// A transmission started carrying `delivered` committed requests.
-  virtual void record_decision(bool push, double time, catalog::ItemId item,
-                               std::size_t delivered) = 0;
+  virtual void record_decision(bool /*push*/, double /*time*/,
+                               catalog::ItemId /*item*/,
+                               std::size_t /*delivered*/) {}
   /// The overload ladder moved between two levels.
-  virtual void record_ladder(double time, int from, int to) = 0;
+  virtual void record_ladder(double /*time*/, int /*from*/, int /*to*/) {}
   /// Admission stopped; `skipped` planned arrivals were never injected.
-  virtual void record_drain(double time, std::uint64_t skipped) = 0;
-  /// A transmission ended, before its outcome is applied.
-  virtual void on_slot_end(double /*time*/) {}
+  virtual void record_drain(double /*time*/, std::uint64_t /*skipped*/) {}
+  /// A request was delivered at the kernel's now, after its statistics
+  /// were recorded.
+  virtual void on_delivered(const workload::Request& /*request*/) {}
 };
 
 /// The paper's hybrid scheduling server (Fig. 1 pseudo-code) as one
-/// single-threaded state machine on a des::Simulator. Both engines drive
-/// it: core::HybridServer attaches a trace and runs the kernel; the live
-/// serve::LiveServer attaches its load plan (accelerated) or advances the
-/// kernel to the wall clock (realtime). Every timer and transmission end is
-/// a kernel event, so the kernel's (time, id) order is the one dispatch
-/// order of both.
+/// single-threaded state machine on a des::Simulator. Four drivers run it:
+/// core::HybridServer attaches a trace and runs the kernel;
+/// core::AdaptiveHybridServer does the same and re-ranks the push set
+/// periodically (repartition); core::ClosedLoopServer issues each client's
+/// next request from the delivery hook; the live serve::LiveServer attaches
+/// its load plan (accelerated) or advances the kernel to the wall clock
+/// (realtime). Every timer and transmission end is a kernel event, so the
+/// kernel's (time, id) order is the one dispatch order of all of them.
 ///
-/// Behavior per the paper, §3:
-///  * items [0, K) are broadcast cyclically by the push scheduler; client
-///    requests for them are ignored by the queue (the client simply waits
-///    for the item to come around) but tracked here to measure their delay;
-///  * requests for items [K, D) enter the pull queue, aggregated per item
-///    with arrival time, request count R_i and summed client priority Q_i;
+/// Behavior per the paper, §3, over a rank order of the catalog that is the
+/// item ids' own order unless a driver re-ranks it:
+///  * the items ranked [0, K) are broadcast cyclically by the push
+///    scheduler; client requests for them are ignored by the queue (the
+///    client simply waits for the item to come around) but tracked here to
+///    measure their delay;
+///  * requests for the items ranked [K, D) enter the pull queue, aggregated
+///    per item with arrival time, request count R_i and summed client
+///    priority Q_i;
 ///  * after every push transmission, if the pull queue is non-empty the
 ///    entry with the maximum importance factor is extracted and transmitted;
 ///  * a pull transmission first draws a Poisson bandwidth demand and asks
@@ -124,6 +134,14 @@ class ServerCore {
   /// is its observed stamp, which latency is measured from. Ignored once a
   /// drain stopped admission.
   void on_arrival(const workload::Request& request);
+  /// Re-ranks the catalog: the push set becomes the first `cutoff` (plus
+  /// any widen-push boost) items of `order`, a permutation of the catalog's
+  /// ids. Pending work moves across the boundary and the push program
+  /// restarts at rank 0, even when the push set is unchanged. The push
+  /// scheduler sees ranks, so a non-flat program weights rank r by item r's
+  /// catalog attributes.
+  void repartition(std::span<const catalog::ItemId> order,
+                   std::size_t cutoff);
   /// Runs the kernel until every arrival settled — or, with drain_after
   /// set, until admission stopped at the first event at or past the drain
   /// instant and the pull side flushed. done() is false afterwards only
@@ -211,9 +229,17 @@ class ServerCore {
 
   // --- resilience layer ---------------------------------------------------
 
-  /// Push cutoff currently in force: the configured K plus the ladder's
+  /// Push cutoff currently in force: the base K plus the ladder's
   /// widen-push boost, clamped to the catalog.
-  [[nodiscard]] std::size_t effective_cutoff() const noexcept;
+  [[nodiscard]] std::size_t effective_cutoff() const noexcept {
+    return push_cut_;
+  }
+  /// Sets the base cutoff and the widen-push boost (no migration).
+  void set_cutoff(std::size_t cutoff, std::size_t boost) noexcept;
+  /// True when `item` is in the push set in force.
+  [[nodiscard]] bool pushed(catalog::ItemId item) const noexcept {
+    return rank_[item] < effective_cutoff();
+  }
   /// Pull-queue capacity in force: the hard fault cap wins, else the
   /// ladder's soft cap at shed-low-priority and above (0 = unbounded).
   [[nodiscard]] std::size_t effective_queue_capacity() const noexcept;
@@ -236,9 +262,14 @@ class ServerCore {
   /// Periodic ladder evaluation; applies level actions on transitions.
   void evaluate_overload();
   void apply_overload_level(resilience::OverloadLevel level);
-  /// Rebuilds the push scheduler for a new widen-push boost and migrates
-  /// queued/parked requests across the moved cutoff.
+  /// Sets the widen-push boost and moves the boundary if the cutoff moved.
   void apply_cutoff_boost(std::size_t boost);
+  /// The one migration across a moved push boundary, after the cutoff and
+  /// rank order took their new values: requests queued for `to_push` items
+  /// become push waiters, waiters of `to_pull` items re-enter the pull
+  /// queue, and the push program restarts at rank 0.
+  void move_boundary(std::span<const catalog::ItemId> to_push,
+                     std::span<const catalog::ItemId> to_pull);
 
   /// Hands a push transmission's waiter list back to spare_waiters_.
   void recycle_waiters(std::vector<workload::Request>&& waiters) {
@@ -268,6 +299,10 @@ class ServerCore {
   // corruption draw per downlink transmission.
   std::optional<fault::GilbertElliottChannel> channel_;
 
+  // The rank order: order_[rank] is an item, rank_[item] its rank. begin()
+  // resets it to the identity.
+  std::vector<catalog::ItemId> order_;
+  std::vector<catalog::ItemId> rank_;
   std::vector<std::vector<workload::Request>> push_waiters_;
   // Cleared waiter lists of finished push broadcasts; start_push swaps one
   // into the item it puts on air, so parking a request rarely allocates.
@@ -281,6 +316,11 @@ class ServerCore {
   std::unique_ptr<metrics::ClassCollector> collector_;
 
   // Run-scoped state.
+  // The push cutoff before the widen-push boost: config_.cutoff until a
+  // repartition moves it. push_cut_ caches effective_cutoff(), which the
+  // serving loop and every arrival read.
+  std::size_t cutoff_ = 0;
+  std::size_t push_cut_ = 0;
   des::SimTime warmup_time_ = 0.0;
   std::uint64_t to_settle_ = 0;
   std::uint64_t settled_ = 0;

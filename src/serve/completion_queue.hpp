@@ -14,7 +14,6 @@ namespace pushpull::serve {
 /// What happened, as seen by the server's event loop.
 enum class CompletionKind : std::uint8_t {
   kArrival,   ///< a client pull request reached the server
-  kSlotEnd,   ///< the in-flight broadcast/unicast transmission finished
   kTimer,     ///< a scheduled timer expired (duration horizon, wake-ups)
   kShutdown,  ///< producers are done; drain and stop
 };
@@ -27,7 +26,8 @@ struct Completion {
   workload::Request request{};
 };
 
-/// Bounded multi-producer/single-consumer queue feeding the serve loop.
+/// Bounded multi-producer/single-consumer queue feeding the realtime serve
+/// loop.
 ///
 /// Producers (load-driver pacer threads, the timer) `post()`; the single
 /// server thread `pop()`s. The bound applies backpressure: `post` blocks

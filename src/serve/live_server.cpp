@@ -21,18 +21,6 @@ ServeConfig validated(ServeConfig config) {
   return config;
 }
 
-/// Posts `c` to the accelerated run's queue and takes it straight back:
-/// single-threaded, every event passes through the queue one at a time.
-Completion pass_through(CompletionQueue& queue, const Completion& c) {
-  if (!queue.try_post(c)) {
-    throw std::logic_error(
-        "LiveServer: completion queue rejected a post in accelerated mode "
-        "(queue_capacity must admit the strictly alternating post/pop "
-        "pattern)");
-  }
-  return *queue.pop(0.0);
-}
-
 }  // namespace
 
 LiveServer::LiveServer(const catalog::Catalog& cat,
@@ -68,14 +56,7 @@ void LiveServer::record_drain(double time, std::uint64_t skipped) {
   if (recorder_) recorder_->record_drain(time, skipped);
 }
 
-void LiveServer::on_slot_end(double time) {
-  if (slot_queue_) {
-    (void)pass_through(*slot_queue_,
-                       Completion{CompletionKind::kSlotEnd, time, {}});
-  }
-}
-
-ServeReport LiveServer::finish(const CompletionQueue& queue) {
+ServeReport LiveServer::finish(const CompletionQueue* queue) {
   core_.finish();
   const ConservationLedger ledger = core_.ledger();
   const metrics::ClassStats agg = core_.collector().aggregate();
@@ -125,8 +106,16 @@ ServeReport LiveServer::finish(const CompletionQueue& queue) {
     report.queue_depth.p90 = depth.p90.value();
     report.queue_depth.p99 = depth.p99.value();
   }
-  report.cq_posted = queue.posted();
-  report.cq_high_water = queue.high_water();
+  if (queue != nullptr) {
+    report.cq_posted = queue->posted();
+    report.cq_high_water = queue->high_water();
+  } else {
+    // Accelerated: the figures of a queue that every arrival and slot end
+    // would pass through one at a time.
+    report.cq_posted = report.arrivals + result.push_transmissions +
+                       result.pull_transmissions;
+    report.cq_high_water = report.cq_posted > 0 ? 1 : 0;
+  }
   report.per_class = result.per_class;
   report.robust = config_.robust();
   report.timed_out = agg.abandoned;
@@ -152,27 +141,19 @@ ServeReport LiveServer::finish(const CompletionQueue& queue) {
 ServeReport LiveServer::run_accelerated(LoadDriver& driver,
                                         JournalSink* recorder) {
   recorder_ = recorder;
-  CompletionQueue queue(config_.queue_capacity);
-  slot_queue_ = &queue;
   const workload::Trace& plan = driver.plan();
   const std::uint64_t planned = driver.remaining();
   const std::size_t first = plan.size() - planned;
   core_.begin(planned, plan.span(), observer_, this,
               /*track_queue_depth=*/true);
-  // The rest of the plan is the kernel's arrival stream; each arrival
-  // passes through the completion queue on its way into the core. Once a
-  // drain stops admission the remaining arrivals are left in the plan,
-  // untaken and unposted.
+  // The rest of the plan is the kernel's arrival stream. Once a drain
+  // stops admission the remaining arrivals are left in the plan, untaken.
   core_.sim().attach_arrivals(
       planned,
       [&plan, first](std::size_t i) { return plan[first + i].arrival; },
-      [this, &driver, &queue](std::size_t) {
+      [this, &driver](std::size_t) {
         if (core_.draining()) return;
-        const workload::Request request = driver.take();
-        core_.on_arrival(
-            pass_through(queue, Completion{CompletionKind::kArrival,
-                                           request.arrival, request})
-                .request);
+        core_.on_arrival(driver.take());
       });
   if (planned > 0) {
     core_.start();
@@ -183,14 +164,13 @@ ServeReport LiveServer::run_accelerated(LoadDriver& driver,
           "requests remain unsettled");
     }
   }
-  return finish(queue);
+  return finish(nullptr);
 }
 
 ServeReport LiveServer::run_realtime(CompletionQueue& queue, Clock& clock,
                                      std::uint64_t planned,
                                      JournalSink* recorder) {
   recorder_ = recorder;
-  slot_queue_ = nullptr;
   core_.begin(planned, 0.0, observer_, this, /*track_queue_depth=*/true);
   des::Simulator& sim = core_.sim();
   if (planned > 0) core_.start();
@@ -250,7 +230,7 @@ ServeReport LiveServer::run_realtime(CompletionQueue& queue, Clock& clock,
     }
     sim.run_until(clock.now());
   }
-  return finish(queue);
+  return finish(&queue);
 }
 
 std::string render_serve_report(const ServeReport& report) {

@@ -86,12 +86,15 @@ struct ServeReport {
 /// accelerated run and the DES replay of its own journal agree on every
 /// statistic bit for bit, whatever live mechanisms are on.
 ///
-/// Both run modes feed the core through the CompletionQueue; they differ
-/// only in who produces events and how time advances:
+/// The two run modes differ only in who produces events and how time
+/// advances:
 ///  * run_accelerated — single-threaded; the driver's plan streams through
-///    the kernel as its arrival stream, each arrival and slot end passing
-///    through the queue, so the run is a pure function of the seed;
-///  * run_realtime — pacer threads post wall-stamped arrivals; the loop
+///    the kernel as its arrival stream, straight into the core, so the run
+///    is a pure function of the seed and costs what a DES run does. Its
+///    completion-queue telemetry reports the queue every arrival and slot
+///    end would pass through one at a time;
+///  * run_realtime — pacer threads post wall-stamped arrivals to the
+///    CompletionQueue; the loop
 ///    advances the kernel to the wall clock (run_until), completing slots
 ///    and firing timers as it passes their logical times. Arrival stamps
 ///    are observed (skew is real and recorded); slot ends chain logically
@@ -129,26 +132,22 @@ class LiveServer final : private core::DecisionSink {
   }
 
  private:
-  // core::DecisionSink: decisions go to the journal; in accelerated mode
-  // each slot end also passes through the completion queue.
+  // core::DecisionSink: decisions go to the journal.
   void record_request(const workload::Request& request,
                       double observed_time) override;
   void record_decision(bool push, double time, catalog::ItemId item,
                        std::size_t delivered) override;
   void record_ladder(double time, int from, int to) override;
   void record_drain(double time, std::uint64_t skipped) override;
-  void on_slot_end(double time) override;
 
   /// Machine-checks the conservation identity (throws std::logic_error on
-  /// any imbalance), seals the journal and builds the report.
-  [[nodiscard]] ServeReport finish(const CompletionQueue& queue);
+  /// any imbalance), seals the journal and builds the report. `queue` is
+  /// the realtime run's queue, null for an accelerated run.
+  [[nodiscard]] ServeReport finish(const CompletionQueue* queue);
 
   ServeConfig config_;
   core::ServerCore core_;
   JournalSink* recorder_ = nullptr;
-  // The accelerated run's queue, which slot ends pass through; null in
-  // realtime, where slots complete on the logical timeline.
-  CompletionQueue* slot_queue_ = nullptr;
   obs::RunObserver* observer_ = nullptr;
   const std::atomic<bool>* drain_flag_ = nullptr;
 };

@@ -65,6 +65,7 @@ struct ServeConfig : core::LiveExtensions {
   /// only affect how faithfully it is paced. Ignored when accelerated.
   std::size_t pacers = 1;
   /// Completion-queue bound; a full queue backpressures the pacers.
+  /// Ignored when accelerated.
   std::size_t queue_capacity = 1024;
 
   // --- robustness (live failure model, DESIGN §10) ------------------------

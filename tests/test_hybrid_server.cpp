@@ -1,10 +1,16 @@
 // Unit and behavioral tests for the hybrid server: conservation,
-// determinism, push/pull mechanics, blocking, warm-up and edge cutoffs.
+// determinism, push/pull mechanics, blocking, warm-up, edge cutoffs and
+// the core's rank-order push set.
 #include <gtest/gtest.h>
+
+#include <numeric>
+#include <span>
+#include <vector>
 
 #include "catalog/catalog.hpp"
 #include "catalog/length_model.hpp"
 #include "core/hybrid_server.hpp"
+#include "core/server_core.hpp"
 #include "exp/scenario.hpp"
 
 namespace pushpull::core {
@@ -233,6 +239,38 @@ TEST(HybridServer, PullPolicySwapChangesSchedule) {
   EXPECT_NE(ra.overall().wait.mean(), rb.overall().wait.mean());
   // But identical conservation.
   EXPECT_EQ(ra.overall().served, rb.overall().served);
+}
+
+TEST(ServerCore, RepartitionPushesTheFirstItemsOfTheNewOrder) {
+  // Reversing the rank order at t = 0 moves the push set from items
+  // [0, 10) to items [40, 50): exactly their requests ride the broadcast.
+  const auto built = small_scenario().build();
+  const workload::Trace& trace = built.trace;
+  HybridConfig config;
+  config.cutoff = 10;
+  ServerCore core(built.catalog, built.population, config);
+  core.begin(trace.size(), trace.span(), nullptr, nullptr,
+             /*track_queue_depth=*/false);
+  core.sim().attach_arrivals(
+      trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
+      [&core, &trace](std::size_t i) { core.on_arrival(trace[i]); });
+  core.start();
+  std::vector<catalog::ItemId> reversed(built.catalog.size());
+  std::iota(reversed.rbegin(), reversed.rend(), catalog::ItemId{0});
+  core.repartition(reversed, 10);
+  core.run();
+
+  std::uint64_t expected_push = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].item >= 40) ++expected_push;
+  }
+  const metrics::ClassStats overall = core.collector().aggregate();
+  EXPECT_EQ(overall.served, trace.size());
+  EXPECT_EQ(overall.served_push, expected_push);
+
+  EXPECT_THROW(core.repartition(std::span(reversed).first(49), 10),
+               std::invalid_argument);
+  EXPECT_THROW(core.repartition(reversed, 51), std::invalid_argument);
 }
 
 }  // namespace
